@@ -2,7 +2,7 @@
     replicated scalars, run forward over the final IRONMAN IR through
     {!Dataflow} (structured form) and a worklist (flattened form).
 
-    The concrete semantics being abstracted is {!Runtime.Values.eval}:
+    The concrete semantics being abstracted is {!Runtime.Values.eval_env}:
     every processor evaluates scalar statements identically (SPMD), so
     one abstract environment describes them all. Scalars start at their
     type's zero ({!Runtime.Values.default_of}), and [-D] defines are
@@ -142,7 +142,7 @@ let eval_call2 (f : string) (a : ival) (b : ival) : ival =
     | "max" -> mk (Float.max a.lo b.lo) (Float.max a.hi b.hi)
     | _ -> top
 
-(** [eval lookup e] abstracts {!Runtime.Values.eval}: for any concrete
+(** [eval lookup e] abstracts {!Runtime.Values.eval_env}: for any concrete
     environment within [lookup]'s intervals, the concrete result lies in
     the returned interval (with the NaN convention above). Comparisons
     and logic return 0/1 intervals, the abstraction of the concrete

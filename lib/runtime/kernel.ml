@@ -199,6 +199,10 @@ type env = {
   e_bufs : buf ref array;  (** row buffers, grown on demand *)
   e_chains : chain_ws array;
   e_ipt : int array array;  (** integer point scratch, indexed by rank *)
+  e_row : int array array;
+      (** row-cursor start points, indexed by rank: the row loops walk
+          regions with {!Zpl.Region.next_row} instead of building an
+          {!Zpl.Region.iter_rows} closure per execution *)
 }
 
 let make_env ~(stores : Store.t array) ~(scalar : int -> float)
@@ -213,7 +217,8 @@ let make_env ~(stores : Store.t array) ~(scalar : int -> float)
             cw_bases = Array.make n 0;
             cw_cvals = Array.make n 1.0 })
         spec.es_chains;
-    e_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0) }
+    e_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0);
+    e_row = Array.init 4 (fun r -> Array.make r 0) }
 
 (** Store-agnostic per-point compiler: the same value, operation by
     operation, as {!compile} over a ctx reading the env's stores — but
@@ -1232,6 +1237,17 @@ let write_mode (a : Zpl.Prog.assign_a) : write_mode =
   else if List.mem a.lhs (Zpl.Prog.arrays_read a.rhs) then WRowBuffer
   else WDirect
 
+(** Innermost extent of a non-empty region: the length of every row. *)
+let row_len (region : Zpl.Region.t) =
+  Zpl.Region.range_size (Zpl.Region.dim region (Zpl.Region.rank region - 1))
+
+(** The env's row-cursor point for [region]'s rank, set to its first
+    row. *)
+let row_cursor (env : env) (region : Zpl.Region.t) : int array =
+  let p0 = env.e_row.(Zpl.Region.rank region) in
+  Zpl.Region.first_row region p0;
+  p0
+
 (** Run a row-compiled source over [region], writing the rows of [lhs].
     [slot] indexes the env row buffer the buffered modes stage through
     (ignored by [WDirect]). Returns the number of cells updated. *)
@@ -1244,29 +1260,34 @@ let run_region_rows (env : env) ~(lhs : Store.t) ~(region : Zpl.Region.t)
         (Zpl.Region.to_string region)
         (Zpl.Region.to_string (Store.alloc lhs))
         (Store.info lhs).a_name;
+    let data = Store.unsafe_data lhs in
+    let nrows = Zpl.Region.rows region and len = row_len region in
+    let p0 = row_cursor env region in
     (match mode with
     | WDirect ->
-        let data = Store.unsafe_data lhs in
-        Zpl.Region.iter_rows region (fun p0 len ->
-            fill src env p0 len data (Store.index lhs p0))
+        for _ = 1 to nrows do
+          fill src env p0 len data (Store.index lhs p0);
+          Zpl.Region.next_row region p0
+        done
     | WRowBuffer ->
         let scratch = env.e_bufs.(slot) in
-        let data = Store.unsafe_data lhs in
-        Zpl.Region.iter_rows region (fun p0 len ->
-            let b = ensure scratch len in
-            fill src env p0 len b 0;
-            buf_blit b 0 data (Store.index lhs p0) len)
+        for _ = 1 to nrows do
+          let b = ensure scratch len in
+          fill src env p0 len b 0;
+          buf_blit b 0 data (Store.index lhs p0) len;
+          Zpl.Region.next_row region p0
+        done
     | WFullBuffer ->
-        let data = Store.unsafe_data lhs in
         let buf = ensure env.e_bufs.(slot) (Zpl.Region.size region) in
-        let k = ref 0 in
-        Zpl.Region.iter_rows region (fun p0 len ->
-            fill src env p0 len buf !k;
-            k := !k + len);
-        k := 0;
-        Zpl.Region.iter_rows region (fun p0 len ->
-            buf_blit buf !k data (Store.index lhs p0) len;
-            k := !k + len));
+        for r = 0 to nrows - 1 do
+          fill src env p0 len buf (r * len);
+          Zpl.Region.next_row region p0
+        done;
+        Zpl.Region.first_row region p0;
+        for r = 0 to nrows - 1 do
+          buf_blit buf (r * len) data (Store.index lhs p0) len;
+          Zpl.Region.next_row region p0
+        done);
     Zpl.Region.size region
   end
 
@@ -1279,36 +1300,40 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
   else begin
     let scratch = env.e_bufs.(slot) in
     let acc = ref (Reduce.identity op) in
-    Zpl.Region.iter_rows region (fun p0 len ->
-        match slice_of src env scratch p0 len with
-        | SConst v ->
-            let a = ref !acc in
-            (match op with
-            | Zpl.Ast.RSum -> for _ = 1 to len do a := !a +. v done
-            | Zpl.Ast.RProd -> for _ = 1 to len do a := !a *. v done
-            | Zpl.Ast.RMax -> for _ = 1 to len do a := Float.max !a v done
-            | Zpl.Ast.RMin -> for _ = 1 to len do a := Float.min !a v done);
-            acc := !a
-        | SVec (data, s0) ->
-            let a = ref !acc in
-            (match op with
-            | Zpl.Ast.RSum ->
-                for k = s0 to s0 + len - 1 do
-                  a := !a +. A1.unsafe_get data k
-                done
-            | Zpl.Ast.RProd ->
-                for k = s0 to s0 + len - 1 do
-                  a := !a *. A1.unsafe_get data k
-                done
-            | Zpl.Ast.RMax ->
-                for k = s0 to s0 + len - 1 do
-                  a := Float.max !a (A1.unsafe_get data k)
-                done
-            | Zpl.Ast.RMin ->
-                for k = s0 to s0 + len - 1 do
-                  a := Float.min !a (A1.unsafe_get data k)
-                done);
-            acc := !a);
+    let len = row_len region in
+    let p0 = row_cursor env region in
+    for _ = 1 to Zpl.Region.rows region do
+      (match slice_of src env scratch p0 len with
+      | SConst v ->
+          let a = ref !acc in
+          (match op with
+          | Zpl.Ast.RSum -> for _ = 1 to len do a := !a +. v done
+          | Zpl.Ast.RProd -> for _ = 1 to len do a := !a *. v done
+          | Zpl.Ast.RMax -> for _ = 1 to len do a := Float.max !a v done
+          | Zpl.Ast.RMin -> for _ = 1 to len do a := Float.min !a v done);
+          acc := !a
+      | SVec (data, s0) ->
+          let a = ref !acc in
+          (match op with
+          | Zpl.Ast.RSum ->
+              for k = s0 to s0 + len - 1 do
+                a := !a +. A1.unsafe_get data k
+              done
+          | Zpl.Ast.RProd ->
+              for k = s0 to s0 + len - 1 do
+                a := !a *. A1.unsafe_get data k
+              done
+          | Zpl.Ast.RMax ->
+              for k = s0 to s0 + len - 1 do
+                a := Float.max !a (A1.unsafe_get data k)
+              done
+          | Zpl.Ast.RMin ->
+              for k = s0 to s0 + len - 1 do
+                a := Float.min !a (A1.unsafe_get data k)
+              done);
+          acc := !a);
+      Zpl.Region.next_row region p0
+    done;
     (!acc, Zpl.Region.size region)
   end
 
@@ -1623,44 +1648,47 @@ let plan_fused ?(cse = true) (rc : rowctx) (stmts : Zpl.Prog.assign_a array)
 let exec_fused (fp : fplan) ~(env : env) ~(region : Zpl.Region.t) : int =
   if Zpl.Region.is_empty region then 0
   else begin
-    Array.iter
-      (fun fs ->
-        let lhs = env.e_stores.(fs.f_lhs) in
-        if not (Zpl.Region.subset region (Store.alloc lhs)) then
-          Fmt.invalid_arg
-            "fused kernel: write region %s outside allocated %s of %s"
-            (Zpl.Region.to_string region)
-            (Zpl.Region.to_string (Store.alloc lhs))
-            (Store.info lhs).a_name)
-      fp.f_stmts;
     let stmts = fp.f_stmts in
     let n = Array.length stmts in
+    for i = 0 to n - 1 do
+      let lhs = env.e_stores.(stmts.(i).f_lhs) in
+      if not (Zpl.Region.subset region (Store.alloc lhs)) then
+        Fmt.invalid_arg
+          "fused kernel: write region %s outside allocated %s of %s"
+          (Zpl.Region.to_string region)
+          (Zpl.Region.to_string (Store.alloc lhs))
+          (Store.info lhs).a_name
+    done;
     let temps = fp.f_temps in
     let nt = Array.length temps in
     let stores = env.e_stores in
-    Zpl.Region.iter_rows region (fun p0 len ->
-        (* temp definitions first, in order: later temps may read
-           earlier ones through their [RTemp] slots *)
-        for t = 0 to nt - 1 do
-          let ft = Array.unsafe_get temps t in
-          let b = ensure env.e_bufs.(ft.ft_slot) len in
-          fill ft.ft_src env p0 len b 0
-        done;
-        (* per-statement dispatch inline: the match is on an immediate
-           tag and branch-predicts perfectly, and building hoisted
-           closures here would allocate per execution *)
-        for i = 0 to n - 1 do
-          let fs = Array.unsafe_get stmts i in
-          let lhs = Array.unsafe_get stores fs.f_lhs in
-          let data = Store.unsafe_data lhs in
-          match fs.f_mode with
-          | WDirect -> fill fs.f_src env p0 len data (Store.index lhs p0)
-          | WRowBuffer ->
-              let b = ensure env.e_bufs.(fp.f_scratch) len in
-              fill fs.f_src env p0 len b 0;
-              buf_blit b 0 data (Store.index lhs p0) len
-          | WFullBuffer -> assert false
-        done);
+    let len = row_len region in
+    let p0 = row_cursor env region in
+    for _ = 1 to Zpl.Region.rows region do
+      (* temp definitions first, in order: later temps may read
+         earlier ones through their [RTemp] slots *)
+      for t = 0 to nt - 1 do
+        let ft = Array.unsafe_get temps t in
+        let b = ensure env.e_bufs.(ft.ft_slot) len in
+        fill ft.ft_src env p0 len b 0
+      done;
+      (* per-statement dispatch inline: the match is on an immediate
+         tag and branch-predicts perfectly, and building hoisted
+         closures here would allocate per execution *)
+      for i = 0 to n - 1 do
+        let fs = Array.unsafe_get stmts i in
+        let lhs = Array.unsafe_get stores fs.f_lhs in
+        let data = Store.unsafe_data lhs in
+        match fs.f_mode with
+        | WDirect -> fill fs.f_src env p0 len data (Store.index lhs p0)
+        | WRowBuffer ->
+            let b = ensure env.e_bufs.(fp.f_scratch) len in
+            fill fs.f_src env p0 len b 0;
+            buf_blit b 0 data (Store.index lhs p0) len
+        | WFullBuffer -> assert false
+      done;
+      Zpl.Region.next_row region p0
+    done;
     Zpl.Region.size region * n
   end
 
@@ -1714,33 +1742,34 @@ let refs_of (e : Zpl.Prog.aexpr) : refs =
   go e;
   Array.of_list !acc
 
-(** Allocation-free fast path of {!check_refs} over pre-extracted reads. *)
-let check_ref_bounds ~(region : Zpl.Region.t)
-    ~(alloc_of : int -> Zpl.Region.t) (rs : refs) =
-  if Array.length rs > 0 && not (Zpl.Region.is_empty region) then
+(** Allocation-free fast path of {!check_refs} over pre-extracted reads,
+    against the allocations of the executor's stores. *)
+let check_ref_bounds ~(region : Zpl.Region.t) ~(stores : Store.t array)
+    (rs : refs) =
+  if Array.length rs > 0 && not (Zpl.Region.is_empty region) then begin
     let rank = Zpl.Region.rank region in
-    Array.iter
-      (fun (aid, off) ->
-        if Array.length off <> rank then
-          invalid_arg "Region.shift: rank mismatch";
-        let alloc = alloc_of aid in
-        let ok = ref (Zpl.Region.rank alloc = rank) in
-        for d = 0 to rank - 1 do
-          if !ok then begin
-            let rd = Zpl.Region.dim region d
-            and ad = Zpl.Region.dim alloc d in
-            if
-              rd.Zpl.Region.lo + off.(d) < ad.Zpl.Region.lo
-              || rd.Zpl.Region.hi + off.(d) > ad.Zpl.Region.hi
-            then ok := false
-          end
-        done;
-        if not !ok then
-          Fmt.failwith
-            "shifted read of array %d over %s reaches %s, outside allocated \
-             %s"
-            aid
-            (Zpl.Region.to_string region)
-            (Zpl.Region.to_string (Zpl.Region.shift region off))
-            (Zpl.Region.to_string alloc))
-      rs
+    for i = 0 to Array.length rs - 1 do
+      let aid, off = rs.(i) in
+      if Array.length off <> rank then
+        invalid_arg "Region.shift: rank mismatch";
+      let alloc = Store.alloc stores.(aid) in
+      let ok = ref (Zpl.Region.rank alloc = rank) in
+      for d = 0 to rank - 1 do
+        if !ok then begin
+          let rd = Zpl.Region.dim region d
+          and ad = Zpl.Region.dim alloc d in
+          if
+            rd.Zpl.Region.lo + off.(d) < ad.Zpl.Region.lo
+            || rd.Zpl.Region.hi + off.(d) > ad.Zpl.Region.hi
+          then ok := false
+        end
+      done;
+      if not !ok then
+        Fmt.failwith
+          "shifted read of array %d over %s reaches %s, outside allocated %s"
+          aid
+          (Zpl.Region.to_string region)
+          (Zpl.Region.to_string (Zpl.Region.shift region off))
+          (Zpl.Region.to_string alloc)
+    done
+  end

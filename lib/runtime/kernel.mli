@@ -196,6 +196,7 @@ type refs = (int * int array) array
 val refs_of : Zpl.Prog.aexpr -> refs
 
 (** Allocation-free fast path of {!check_refs} over pre-extracted
-    reads; same checks, same errors. *)
+    reads, against the allocated regions of [stores] (indexed by array
+    id); same checks, same errors. *)
 val check_ref_bounds :
-  region:Zpl.Region.t -> alloc_of:(int -> Zpl.Region.t) -> refs -> unit
+  region:Zpl.Region.t -> stores:Store.t array -> refs -> unit

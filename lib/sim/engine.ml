@@ -21,12 +21,23 @@
     times are bit-identical to the serial drain (property-tested).
 
     Adjacent kernel statements that pass {!Runtime.Kernel.can_join} are
-    fused at [make] time: one region evaluation and one row traversal
+    fused at {!plan} time: one region evaluation and one row traversal
     execute the whole group, while time and statistics are still charged
     statement by statement — reports do not change.
 
+    {b Kernel dispatch} clips a statement's region in ints: its bounds
+    are evaluated against the scalar environment and intersected with
+    the lhs store's owned block ({!Runtime.Values.clip_dregion}), which
+    is already the declared region clipped to this rank's partition box
+    — so no per-call box or region pipeline is built. A statement whose
+    clip is empty (most calls of a single-row sweep on a multi-row mesh)
+    is charged its kernel overhead and allocates nothing; a non-empty
+    one allocates only the clipped region. Reductions have no lhs store
+    and clip to the rank's partition box, computed once by
+    {!of_plans}.
+
     {b The wire-plan communication runtime} (default, [~wire:true])
-    pre-compiles every (transfer, processor, partner) side at [make]
+    pre-compiles every (transfer, processor, partner) side at {!plan}
     time into a {!Runtime.Wireplan.t} — flat blit descriptors against
     the local stores — with all member-array pieces of one partner
     packed into a single staging buffer drawn from a per-side pool.
@@ -94,7 +105,7 @@ type wside = {
 type wplan = { w_recv : wside array; w_send : wside array }
 
 (** One rank's side of one synthesized collective round
-    ({!Ir.Coll.role}, frozen at [make] time): at most one send partner
+    ({!Ir.Coll.role}, frozen at {!plan} time): at most one send partner
     and one receive partner, [c_count] scalar values per message. The
     send pool is owned; the receive pool aliases the sender's, exactly
     like {!wside}. Collective rounds use the dense mailboxes in {e both}
@@ -271,6 +282,8 @@ type proc = {
   mutable pc : int;
   time : fcell;
   stores : Runtime.Store.t array;
+  box : Zpl.Region.t;
+      (** this rank's 2-D partition box, which reductions clip to *)
   env : Runtime.Values.env;
   mutable wait_kind : int;  (** one of the [wk_*] codes *)
   mutable wait_arg : int;
@@ -695,6 +708,7 @@ let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
             sp.p_kern.(rank).k_spec
         in
         { rank; pc = 0; time = { fv = 0.0 }; stores;
+          box = Runtime.Layout.box layout rank;
           env;
           wait_kind = wk_none; wait_arg = 0;
           halted = false; queued = false;
@@ -971,14 +985,6 @@ let reduce_plan (t : t) (p : proc) idx =
 
 let fused_plan (t : t) (p : proc) idx = t.kern.(p.rank).k_fused.(idx)
 
-(** Local part of a statement region: dims 0-1 intersected with the
-    processor's partition box, higher dims untouched. *)
-let local_region (t : t) (p : proc) (r : Zpl.Region.t) : Zpl.Region.t =
-  let b = Runtime.Layout.box t.layout p.rank in
-  let two = Zpl.Region.inter [| r.(0); r.(1) |] b in
-  if Zpl.Region.rank r = 2 then two
-  else [| two.(0); two.(1); r.(2) |]
-
 (** Charge the cost of one executed statement: the same formula — and
     the same float-accumulation order — whether it ran alone or fused. *)
 let charge_kernel (t : t) (p : proc) ~cells ~flops =
@@ -991,16 +997,15 @@ let charge_kernel (t : t) (p : proc) ~cells ~flops =
   p.stats.Stats.cells <- p.stats.Stats.cells + cells
 
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
-  let region = Runtime.Values.eval_dregion p.env a.region in
   let store = p.stores.(a.lhs) in
   let region =
-    Zpl.Region.inter (local_region t p region) (Runtime.Store.owned store)
+    Runtime.Values.clip_dregion p.env a.region
+      ~within:(Runtime.Store.owned store)
   in
   let cells =
     if Zpl.Region.is_empty region then 0
     else begin
-      Runtime.Kernel.check_ref_bounds ~region
-        ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
+      Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
         t.refchecks.(idx);
       Runtime.Kernel.exec_plan (assign_plan t p idx) ~env:p.kenv ~lhs:store
         ~region
@@ -1008,34 +1013,32 @@ let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
   in
   charge_kernel t p ~cells ~flops:a.flops
 
+let fused_stmt (t : t) idx k =
+  match t.flat.Ir.Flat.ops.(idx + k) with
+  | Ir.Flat.FKernel a -> a
+  | _ -> assert false
+
 (** Execute the fused group of [glen] kernels headed at [idx]: one
-    region evaluation and one row traversal, but per-statement cost and
+    region clip and one row traversal, but per-statement cost and
     statistics identical to unfused execution. *)
 let exec_fused_group (t : t) (p : proc) idx glen =
-  let stmt k =
-    match t.flat.Ir.Flat.ops.(idx + k) with
-    | Ir.Flat.FKernel a -> a
-    | _ -> assert false
-  in
   match fused_plan t p idx with
   | None ->
       (* some member fell back to the per-point path: run unfused *)
       for k = 0 to glen - 1 do
-        exec_kernel t p (idx + k) (stmt k)
+        exec_kernel t p (idx + k) (fused_stmt t idx k)
       done
   | Some fp ->
-      let a0 = stmt 0 in
-      let region = Runtime.Values.eval_dregion p.env a0.region in
+      let a0 = fused_stmt t idx 0 in
       let region =
-        Zpl.Region.inter (local_region t p region)
-          (Runtime.Store.owned p.stores.(a0.lhs))
+        Runtime.Values.clip_dregion p.env a0.region
+          ~within:(Runtime.Store.owned p.stores.(a0.lhs))
       in
       let cells =
         if Zpl.Region.is_empty region then 0
         else begin
           for k = 0 to glen - 1 do
-            Runtime.Kernel.check_ref_bounds ~region
-              ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
+            Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
               t.refchecks.(idx + k)
           done;
           ignore (Runtime.Kernel.exec_fused fp ~env:p.kenv ~region);
@@ -1043,7 +1046,7 @@ let exec_fused_group (t : t) (p : proc) idx glen =
         end
       in
       for k = 0 to glen - 1 do
-        charge_kernel t p ~cells ~flops:(stmt k).flops
+        charge_kernel t p ~cells ~flops:(fused_stmt t idx k).flops
       done
 
 (* --- communication calls --- *)
@@ -1600,11 +1603,8 @@ let finish_reduce (t : t) seq (slot : reduce_slot) =
   Hashtbl.remove t.reduce_slots seq
 
 let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
-  let region = Runtime.Values.eval_dregion p.env r.r_region in
-  let region = local_region t p region in
-  Runtime.Kernel.check_ref_bounds ~region
-    ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
-    t.refchecks.(idx);
+  let region = Runtime.Values.clip_dregion p.env r.r_region ~within:p.box in
+  Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores t.refchecks.(idx);
   let partial, cells =
     Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region r.r_op
   in
@@ -1646,11 +1646,10 @@ let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
     seed the slot state the rounds will combine into. *)
 let exec_coll_part (t : t) (p : proc) idx (w : Ir.Instr.coll_work) =
   let r = w.Ir.Instr.cw_red in
-  let region = Runtime.Values.eval_dregion p.env r.Zpl.Prog.r_region in
-  let region = local_region t p region in
-  Runtime.Kernel.check_ref_bounds ~region
-    ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
-    t.refchecks.(idx);
+  let region =
+    Runtime.Values.clip_dregion p.env r.Zpl.Prog.r_region ~within:p.box
+  in
+  Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores t.refchecks.(idx);
   let partial, cells =
     Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region
       r.Zpl.Prog.r_op

@@ -18,7 +18,13 @@ let range_size { lo; hi } = if hi < lo then 0 else hi - lo + 1
 
 let size (r : t) = Array.fold_left (fun acc rg -> acc * range_size rg) 1 r
 
-let is_empty (r : t) = Array.exists (fun rg -> rg.hi < rg.lo) r
+(* Explicit loops, not [Array.exists]/[Array.for_all2]: those build a
+   closure per call, and the simulator tests emptiness and containment
+   on every kernel execution. *)
+let rec empty_from (r : t) d =
+  d < Array.length r && (r.(d).hi < r.(d).lo || empty_from r (d + 1))
+
+let is_empty (r : t) = empty_from r 0
 
 let dim (r : t) i = r.(i)
 
@@ -45,10 +51,11 @@ let contains_point (r : t) (p : int array) =
        (Array.init (rank r) Fun.id)
 
 (** [subset a b] is true when every point of [a] lies in [b]. *)
-let subset (a : t) (b : t) =
-  is_empty a
-  || (rank a = rank b
-     && Array.for_all2 (fun x y -> x.lo >= y.lo && x.hi <= y.hi) a b)
+let rec within_from (a : t) (b : t) d =
+  d >= Array.length a
+  || (a.(d).lo >= b.(d).lo && a.(d).hi <= b.(d).hi && within_from a b (d + 1))
+
+let subset (a : t) (b : t) = is_empty a || (rank a = rank b && within_from a b 0)
 
 (** Iterate all points in row-major order. The callback receives a scratch
     buffer that is reused between calls; copy it if you keep it. The
@@ -105,39 +112,54 @@ let iter (r : t) (f : int array -> unit) =
         f p;
         step (n - 1)
 
+(** Row cursor, for hot loops that must not build a closure per
+    traversal: [rows r] rows of [range_size r.(rank - 1)] cells each;
+    [first_row r p] writes the first row's start point into [p] (length
+    [rank r]) and [next_row r p] advances it to the next row's start in
+    row-major order. *)
+let rows (r : t) =
+  if is_empty r then 0
+  else begin
+    let n = ref 1 in
+    for d = 0 to Array.length r - 2 do
+      n := !n * range_size r.(d)
+    done;
+    !n
+  end
+
+let first_row (r : t) (p : int array) =
+  for d = 0 to Array.length r - 1 do
+    p.(d) <- r.(d).lo
+  done
+
+let next_row (r : t) (p : int array) =
+  let d = ref (Array.length r - 2) in
+  while !d >= 0 do
+    let k = !d in
+    if p.(k) < r.(k).hi then begin
+      p.(k) <- p.(k) + 1;
+      d := -1
+    end
+    else begin
+      p.(k) <- r.(k).lo;
+      d := k - 1
+    end
+  done
+
 (** Iterate the region row by row: the callback receives the row's start
     point (innermost coordinate at its [lo]) and the row length. The point
     buffer is reused between calls; copy it if retained. A rank-1 region
     is a single row. *)
 let iter_rows (r : t) (f : int array -> int -> unit) =
-  if not (is_empty r) then begin
-    let n = Array.length r in
-    let len = range_size r.(n - 1) in
-    match n with
-    | 1 -> f [| r.(0).lo |] len
-    | 2 ->
-        let p = [| 0; r.(1).lo |] in
-        for i = r.(0).lo to r.(0).hi do
-          p.(0) <- i;
-          f p len
-        done
-    | 3 ->
-        let lo1 = r.(1).lo and hi1 = r.(1).hi in
-        let p = [| 0; 0; r.(2).lo |] in
-        for i = r.(0).lo to r.(0).hi do
-          p.(0) <- i;
-          for j = lo1 to hi1 do
-            p.(1) <- j;
-            f p len
-          done
-        done
-    | _ ->
-        let outer = Array.sub r 0 (n - 1) in
-        let p = Array.map (fun rg -> rg.lo) r in
-        iter outer (fun q ->
-            Array.blit q 0 p 0 (n - 1);
-            p.(n - 1) <- r.(n - 1).lo;
-            f p len)
+  let n = rows r in
+  if n > 0 then begin
+    let p = Array.make (Array.length r) 0 in
+    let len = range_size r.(Array.length r - 1) in
+    first_row r p;
+    for _ = 1 to n do
+      f p len;
+      next_row r p
+    done
   end
 
 let fold (r : t) (f : 'a -> int array -> 'a) (init : 'a) =

@@ -63,6 +63,18 @@ val iter : t -> (int array -> unit) -> unit
     [p0]. *)
 val iter_rows : t -> (int array -> int -> unit) -> unit
 
+(** Row cursor: the traversal of {!iter_rows} without a callback, for
+    hot loops that must not allocate. [rows r] is the number of rows (0
+    when [r] is empty), each [range_size (dim r (rank r - 1))] cells
+    long; [first_row r p] writes the first row's start point into [p]
+    (an [int array] of length [rank r]); [next_row r p] advances [p] to
+    the next row's start in row-major order. After the last row [p] is
+    unspecified. *)
+val rows : t -> int
+
+val first_row : t -> int array -> unit
+val next_row : t -> int array -> unit
+
 val fold : t -> ('a -> int array -> 'a) -> 'a -> 'a
 
 (** ["[lo..hi, lo..hi]"] rendering used in error messages and dumps. *)

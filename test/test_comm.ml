@@ -1,8 +1,9 @@
 (** Directed tests of the wire-plan communication runtime: steady-state
     communication allocates no minor words, the staging-buffer pool
     recycles under ping-pong traffic, send-time snapshots stay sound
-    when the receiver lags the sender by many repeat iterations, and the
-    parallel drain leaves wire-mode results bit-identical. *)
+    when the receiver lags the sender by many repeat iterations, the
+    parallel drain leaves wire-mode results bit-identical, and kernel
+    calls whose region clips to empty allocate nothing. *)
 
 open Commopt
 
@@ -64,6 +65,96 @@ let test_zero_alloc () =
        per_iter)
     true
     (per_iter <= 8.0)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation-free kernel dispatch                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** A TOMCATV-style single-row sweep: [body] runs once per row [i] of
+    the interior, so on a multi-row mesh only the processors owning row
+    [i] have cells to update — every other processor's call clips to an
+    empty region. [body = ""] is the control variant: the same loops,
+    no kernel. *)
+let sweep_src ~body =
+  Printf.sprintf
+    {|
+constant n     = 34;
+constant iters = 2;
+
+region R = [1..n, 1..8];
+
+var A, B, C : [R] float;
+var i, t : int;
+var s : float;
+
+procedure main();
+begin
+  [R] A := Index1 * 0.25;
+  [R] B := Index2 + 0.5;
+  for t := 1 to iters do
+    for i := 2 to n - 1 do
+      s := s + 1.0;
+      %s
+    end;
+  end;
+end;
+|}
+    body
+
+let sweep_rows = 32 (* rows 2..n-1 *)
+
+(** Minor words of one run of [src] at [iters] outer iterations on a
+    [pr]x1 mesh, engine construction excluded. *)
+let sweep_minor_words ~pr ~iters src =
+  let defines = [ ("iters", float_of_int iters) ] in
+  let flat = compile_flat ~defines src in
+  let engine =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ~machine:t3d ~lib:Machine.T3d.pvm ~pr ~pc:1 flat)
+  in
+  let before = Gc.minor_words () in
+  ignore (Sim.Engine.run engine);
+  Gc.minor_words () -. before
+
+(** Differential measurement as in {!test_zero_alloc}: the [hi - lo]
+    delta isolates the per-iteration cost, and subtracting the
+    kernel-free control variant's delta leaves the kernel calls alone.
+    Per outer iteration each of [pr] processors executes the sweep
+    statement once per row: [sweep_rows] calls have cells (one owner per
+    row) and may allocate their clipped region — 9 words for a rank-2
+    region — while the other [(pr - 1) * sweep_rows] clip to empty and
+    must allocate nothing. *)
+let test_empty_kernels_alloc_free () =
+  let pr = 8 and lo = 5 and hi = 45 in
+  let per_iter src =
+    ignore (sweep_minor_words ~pr ~iters:2 src);
+    (sweep_minor_words ~pr ~iters:hi src -. sweep_minor_words ~pr ~iters:lo src)
+    /. float_of_int (hi - lo)
+  in
+  let control = per_iter (sweep_src ~body:"") in
+  let empty_calls = float_of_int ((pr - 1) * sweep_rows) in
+  let check name body =
+    let kernels = per_iter (sweep_src ~body) -. control in
+    let per_empty = (kernels -. (9.0 *. float_of_int sweep_rows)) /. empty_calls in
+    Alcotest.(check bool)
+      (Printf.sprintf
+         "%s: %.2f minor words per empty-region call (want <= 0.5; %.1f \
+          words/iteration for all kernel calls)"
+         name per_empty kernels)
+      true (per_empty <= 0.5)
+  in
+  let single = "[i..i, 2..7] A := A * 0.5 + B;" in
+  let pair = single ^ "\n      [i..i, 2..7] C := B * 2.0;" in
+  let groups body =
+    Sim.Engine.fused_group_count
+      (Sim.Engine.of_plans
+         (Sim.Engine.plan ~machine:t3d ~lib:Machine.T3d.pvm ~pr ~pc:1
+            (compile_flat (sweep_src ~body))))
+  in
+  Alcotest.(check int) "the pair runs as one fused group"
+    (groups single + 1) (groups pair);
+  check "single statement" single;
+  check "fused pair" pair
 
 (* ------------------------------------------------------------------ *)
 (* Pool recycling under ping-pong traffic                              *)
@@ -179,4 +270,6 @@ let () =
           Alcotest.test_case "snapshots sound under receiver lag" `Quick
             test_snapshot_under_lag;
           Alcotest.test_case "parallel drain bit-identical" `Quick
-            test_wire_parallel_drain ] ) ]
+            test_wire_parallel_drain;
+          Alcotest.test_case "empty-region kernel calls allocate nothing"
+            `Quick test_empty_kernels_alloc_free ] ) ]

@@ -397,6 +397,106 @@ let prop_halo_covers =
         (List.init (Runtime.Layout.nprocs l) Fun.id))
 
 (* ------------------------------------------------------------------ *)
+(* Kernel dispatch: the int clip == the region pipeline it replaced    *)
+(*                                                                     *)
+(* The engine clips a statement's loop-variant region in ints against  *)
+(* the lhs store's owned block (reductions: the rank's partition box). *)
+(* The reference is the pipeline it replaced: evaluate the dregion,    *)
+(* intersect dims 0-1 with the partition box, then intersect with the  *)
+(* owned block. Meshes include uneven splits, arrays that do not fill  *)
+(* the layout space (empty owned blocks), and single-row sweeps whose  *)
+(* row lies outside most processors' boxes.                            *)
+(* ------------------------------------------------------------------ *)
+
+type clip_case = {
+  c_mesh : int * int;
+  c_space : int * int;  (** layout space [0..s0, 0..s1] *)
+  c_decl : Zpl.Region.t;  (** declared region of the clipped array *)
+  c_dr : Zpl.Prog.dregion;
+  c_env : Runtime.Values.value array;
+}
+
+let gen_clip_case =
+  QCheck.Gen.(
+    let* c_mesh = oneofl [ (8, 8); (3, 3); (1, 4); (4, 2) ] in
+    let* rank = int_range 2 3 in
+    let* s0 = int_range 4 37 and* s1 = int_range 4 37 in
+    let sub hi =
+      let* a = int_range 0 hi and* b = int_range 0 hi in
+      return (Zpl.Region.range (min a b) (max a b))
+    in
+    let* d0 = sub s0 and* d1 = sub s1 and* d2 = sub 5 in
+    let c_decl = if rank = 2 then [| d0; d1 |] else [| d0; d1; d2 |] in
+    (* three int scalars, stored as ints or integral floats *)
+    let* c_env =
+      array_repeat 3
+        (let* v = int_range (-3) 40 and* as_float = bool in
+         return
+           (if as_float then Runtime.Values.VFloat (float_of_int v)
+            else Runtime.Values.VInt v))
+    in
+    let bound hi =
+      let* base = int_range (-4) (hi + 4)
+      and* var = opt ~ratio:0.5 (int_range 0 2) in
+      return
+        (match var with
+        | None -> { Zpl.Prog.base; bvar = None }
+        | Some v -> { Zpl.Prog.base = base - 20; bvar = Some v })
+    in
+    let dim hi =
+      let* single = bool in
+      if single then
+        (* a TOMCATV-style single-row bound pair [i+b..i+b] *)
+        let* b = bound hi in
+        return (b, b)
+      else pair (bound hi) (bound hi)
+    in
+    let* r0 = dim s0 and* r1 = dim s1 and* r2 = dim 5 in
+    let c_dr = if rank = 2 then [| r0; r1 |] else [| r0; r1; r2 |] in
+    return { c_mesh; c_space = (s0, s1); c_decl; c_dr; c_env })
+
+let arb_clip_case =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "mesh %dx%d, space [0..%d, 0..%d], decl %s, dregion %s, env %s"
+        (fst c.c_mesh) (snd c.c_mesh) (fst c.c_space) (snd c.c_space)
+        (Zpl.Region.to_string c.c_decl)
+        (Zpl.Prog.show_dregion c.c_dr)
+        (String.concat "; "
+           (Array.to_list (Array.map Runtime.Values.show_value c.c_env))))
+    gen_clip_case
+
+let prop_clip_matches_pipeline =
+  QCheck.Test.make ~name:"int clip == eval/local/inter pipeline" ~count:400
+    arb_clip_case (fun c ->
+      let pr, pc = c.c_mesh in
+      let space = Zpl.Region.make [ (0, fst c.c_space); (0, snd c.c_space) ] in
+      let l = Runtime.Layout.make ~pr ~pc space in
+      let info =
+        { Zpl.Prog.a_id = 0; a_name = "A"; a_region = c.c_decl;
+          a_rank = Zpl.Region.rank c.c_decl }
+      in
+      let r = Runtime.Values.eval_dregion c.c_env c.c_dr in
+      let same got want =
+        if Zpl.Region.is_empty want then Zpl.Region.is_empty got
+        else (not (Zpl.Region.is_empty got)) && Zpl.Region.equal got want
+      in
+      List.for_all
+        (fun p ->
+          let box = Runtime.Layout.box l p in
+          (* the replaced engine's [local_region] *)
+          let two = Zpl.Region.inter [| r.(0); r.(1) |] box in
+          let local =
+            if Zpl.Region.rank r = 2 then two else [| two.(0); two.(1); r.(2) |]
+          in
+          let owned = Runtime.Halo.owned_of l info p in
+          same
+            (Runtime.Values.clip_dregion c.c_env c.c_dr ~within:owned)
+            (Zpl.Region.inter local owned)
+          && same (Runtime.Values.clip_dregion c.c_env c.c_dr ~within:box) local)
+        (List.init (Runtime.Layout.nprocs l) Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* Row-compiled kernels vs the per-point oracle                        *)
 (*                                                                     *)
 (* Direct-AST differential tests: random regions of rank 1..3, random  *)
@@ -971,6 +1071,7 @@ let () =
           [ prop_absint_hull_sound; prop_commvol_engine_validated ] );
       ( "halo",
         List.map to_alcotest [ prop_halo_duality; prop_halo_covers ] );
+      ("dispatch", [ to_alcotest prop_clip_matches_pipeline ]);
       ( "row engine",
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
