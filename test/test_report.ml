@@ -128,6 +128,98 @@ let test_figures_render () =
       Report.Figures.bindings_table ();
       Report.Figures.benchmarks_table () ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden simulated results                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The four paper benchmarks x the six paper rows x {Ideal, Mesh} at test
+   scale: makespan as exact float bits, then static count, dynamic count,
+   messages, bytes and instructions. Any engine change that moves a
+   simulated time or count by even one ulp fails here; the sequential
+   oracle checks the arrays, this table checks the clock. *)
+let golden =
+  [
+    ("tomcatv", "baseline", "ideal", "0x1.f56a976a3118bp-8 40 126 552 33216 5696");
+    ("tomcatv", "baseline", "mesh", "0x1.069748dc67ccbp-7 40 126 552 33216 5696");
+    ("tomcatv", "rr", "ideal", "0x1.d1ea09bb31658p-8 28 112 496 29632 5248");
+    ("tomcatv", "rr", "mesh", "0x1.e4e7118e398aep-8 28 112 496 29632 5248");
+    ("tomcatv", "cc", "ideal", "0x1.26c448523793ap-8 14 56 248 29632 3552");
+    ("tomcatv", "cc", "mesh", "0x1.3aed10e4ff9f9p-8 14 56 248 29632 3552");
+    ("tomcatv", "pl", "ideal", "0x1.20e3b3a77029ep-8 14 56 248 29632 3552");
+    ("tomcatv", "pl", "mesh", "0x1.55e79321b0542p-8 14 56 248 29632 3552");
+    ("tomcatv", "pl with shmem", "ideal", "0x1.946e1ccf54cddp-8 14 56 248 29632 3552");
+    ("tomcatv", "pl with shmem", "mesh", "0x1.a3f35c251156p-8 14 56 248 29632 3552");
+    ("tomcatv", "pl with max latency", "ideal", "0x1.04c1ca7f0383cp-7 28 112 496 29632 5248");
+    ("tomcatv", "pl with max latency", "mesh", "0x1.15df29349b819p-7 28 112 496 29632 5248");
+    ("swm", "baseline", "ideal", "0x1.0d4d9b69527f6p-8 29 48 201 12072 1736");
+    ("swm", "baseline", "mesh", "0x1.16b828500048ap-8 29 48 201 12072 1736");
+    ("swm", "rr", "ideal", "0x1.f72b701b46026p-9 25 42 177 10536 1544");
+    ("swm", "rr", "mesh", "0x1.02ac57b74c072p-8 25 42 177 10536 1544");
+    ("swm", "cc", "ideal", "0x1.6c62a9c35d629p-9 10 18 78 10536 824");
+    ("swm", "cc", "mesh", "0x1.6d54414ace04cp-9 10 18 78 10536 824");
+    ("swm", "pl", "ideal", "0x1.423dcb75edfc4p-9 10 18 78 10536 824");
+    ("swm", "pl", "mesh", "0x1.423dcb75edfc4p-9 10 18 78 10536 824");
+    ("swm", "pl with shmem", "ideal", "0x1.138100097ef3ep-9 10 18 78 10536 824");
+    ("swm", "pl with shmem", "mesh", "0x1.138100097ef3dp-9 10 18 78 10536 824");
+    ("swm", "pl with max latency", "ideal", "0x1.8f4ea3376353dp-9 25 42 177 10536 1544");
+    ("swm", "pl with max latency", "mesh", "0x1.8f4ea3376353ap-9 25 42 177 10536 1544");
+    ("simple", "baseline", "ideal", "0x1.5b60065e4c4abp-8 78 84 388 21664 2492");
+    ("simple", "baseline", "mesh", "0x1.60574a5b5f949p-8 78 84 388 21664 2492");
+    ("simple", "rr", "ideal", "0x1.24e6cd8d4a649p-8 66 70 300 17440 2172");
+    ("simple", "rr", "mesh", "0x1.29de118a5dae6p-8 66 70 300 17440 2172");
+    ("simple", "cc", "ideal", "0x1.3f1ad6536c9dp-9 20 20 96 17440 828");
+    ("simple", "cc", "mesh", "0x1.3f1ad6536c9dp-9 20 20 96 17440 828");
+    ("simple", "pl", "ideal", "0x1.3b580c78251c7p-9 20 20 96 17440 828");
+    ("simple", "pl", "mesh", "0x1.3b69f1c48c44fp-9 20 20 96 17440 828");
+    ("simple", "pl with shmem", "ideal", "0x1.1b790ae1630fap-9 20 20 96 17440 828");
+    ("simple", "pl with shmem", "mesh", "0x1.1b790ae1630fap-9 20 20 96 17440 828");
+    ("simple", "pl with max latency", "ideal", "0x1.06a7b156c702ap-8 62 66 284 17440 2044");
+    ("simple", "pl with max latency", "mesh", "0x1.06a7b156c702ap-8 62 66 284 17440 2044");
+    ("sp", "baseline", "ideal", "0x1.0aa23713af248p-7 36 116 464 118784 5948");
+    ("sp", "baseline", "mesh", "0x1.0aa23713af245p-7 36 116 464 118784 5948");
+    ("sp", "rr", "ideal", "0x1.059b83b7e948fp-7 32 112 448 114688 5820");
+    ("sp", "rr", "mesh", "0x1.059b83b7e948bp-7 32 112 448 114688 5820");
+    ("sp", "cc", "ideal", "0x1.3746dacc86731p-8 8 28 112 114688 3132");
+    ("sp", "cc", "mesh", "0x1.3746dacc8673p-8 8 28 112 114688 3132");
+    ("sp", "pl", "ideal", "0x1.3746dacc86731p-8 8 28 112 114688 3132");
+    ("sp", "pl", "mesh", "0x1.3746dacc8673p-8 8 28 112 114688 3132");
+    ("sp", "pl with shmem", "ideal", "0x1.75028b7594815p-8 8 28 112 114688 3132");
+    ("sp", "pl with shmem", "mesh", "0x1.75028b7594815p-8 8 28 112 114688 3132");
+    ("sp", "pl with max latency", "ideal", "0x1.1b8643508cb2bp-7 32 112 448 114688 5820");
+    ("sp", "pl with max latency", "mesh", "0x1.1b8643508cb2bp-7 32 112 448 114688 5820") ]
+
+let golden_line (b : Programs.Bench_def.t) (label, config, lib) (tname, topo)
+    =
+  let spec =
+    Report.Experiment.bench_spec ~topology:topo ~machine:Machine.T3d.machine
+      ~lib ~config ~scale:`Test b
+  in
+  let art = Run.Spec.build spec in
+  let r = Sim.Engine.run (Run.Spec.engine_of art) in
+  let st = r.Sim.Engine.stats in
+  ( b.Programs.Bench_def.name,
+    label,
+    tname,
+    Printf.sprintf "%h %d %d %d %d %d" r.Sim.Engine.time
+      (Ir.Count.static_count art.Run.Spec.a_ir)
+      (Sim.Stats.dynamic_count st) (Sim.Stats.total_messages st)
+      (Sim.Stats.total_bytes st) st.Sim.Stats.instructions )
+
+let test_golden_table () =
+  let topos =
+    [ ("ideal", Machine.Topology.Ideal); ("mesh", Machine.Topology.Mesh) ]
+  in
+  let got =
+    List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun row -> List.map (golden_line b row) topos)
+          Report.Experiment.paper_rows)
+      Programs.Suite.paper_benchmarks
+  in
+  let show = List.map (fun (b, l, t, v) -> String.concat " | " [ b; l; t; v ]) in
+  Alcotest.(check (list string)) "golden table" (show golden) (show got)
+
 let () =
   Alcotest.run "report"
     [ ( "rendering",
@@ -145,4 +237,6 @@ let () =
       ( "experiments",
         [ Alcotest.test_case "grid shape" `Slow test_experiment_grid_shape;
           Alcotest.test_case "appendix table" `Slow
-            test_appendix_table_includes_paper ] ) ]
+            test_appendix_table_includes_paper;
+          Alcotest.test_case "golden simulated results" `Quick
+            test_golden_table ] ) ]
