@@ -32,6 +32,7 @@ let check_cmd =
             Run.Spec.(
               default (Cmdline.load_source src) |> with_defines defines)
         in
+        Cmdline.reject_unknown_defines c.prog;
         Printf.printf "%s: OK — %d arrays, %d scalars, %d statements\n" src
           (Array.length c.prog.Zpl.Prog.arrays)
           (Array.length c.prog.Zpl.Prog.scalars)
@@ -50,6 +51,7 @@ let dump_cmd =
   let run spec stage =
     Cmdline.handle (fun () ->
         let c = of_spec spec in
+        Cmdline.reject_unknown_defines c.prog;
         match stage with
         | `Ast -> print_endline (Zpl.Pretty.program_to_string c.prog)
         | `Ir -> print_endline (Ir.Printer.program_to_annotated_string c.ir)
@@ -77,6 +79,7 @@ let counts_cmd =
         in
         (* one cache across the five configs: the program parses once *)
         let cache = Run.Cache.create () in
+        Cmdline.reject_unknown_defines (of_spec ~cache base).prog;
         let configs =
           Opt.Config.[ baseline; rr_only; cc_cum; pl_cum; pl_max_latency ]
         in
@@ -383,16 +386,14 @@ let run_cmd =
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"check against the sequential oracle")
   in
-  let run src spec verify_flag check_flag no_fuse no_cse domains no_wire =
+  let run src spec verify_flag check_flag no_fuse =
     Cmdline.handle (fun () ->
         let spec =
-          let open Run.Spec in
-          spec |> with_check check_flag |> with_fuse (not no_fuse)
-          |> with_cse (not no_cse) |> with_wire (not no_wire)
-          |> match domains with None -> Fun.id | Some d -> with_domains d
+          Run.Spec.(spec |> with_check check_flag |> with_fuse (not no_fuse))
         in
         let cache = Run.Cache.create () in
         let c = of_spec ~cache spec in
+        Cmdline.reject_unknown_defines c.prog;
         let res = Run.Cache.run cache spec in
         let st = res.Sim.Engine.stats in
         let pr, pc = spec.Run.Spec.mesh in
@@ -424,8 +425,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"simulate a program on a machine model")
     Term.(
       const run $ Cmdline.src_arg $ Cmdline.spec_term $ verify_arg
-      $ Cmdline.check_arg $ Cmdline.no_fuse_arg $ Cmdline.no_cse_arg
-      $ Cmdline.domains_arg $ Cmdline.no_wire_arg)
+      $ Cmdline.check_arg $ Cmdline.no_fuse_arg)
 
 let bench_cmd =
   let name_arg =

@@ -173,28 +173,6 @@ let no_fuse_arg =
     value & flag
     & info [ "no-fuse" ] ~doc:"disable row-kernel fusion in the simulator")
 
-let no_cse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cse" ]
-        ~doc:"disable common-subexpression row temporaries in fused kernels")
-
-let no_wire_arg =
-  Arg.(
-    value & flag
-    & info [ "no-wire" ]
-        ~doc:
-          "use the legacy extract/inject communication path instead of \
-           pre-compiled wire plans (results are bit-identical; for \
-           differential testing and benchmarking)")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"drain independent simulated processors over N OCaml domains")
-
 (* -------------------------------------------------------------- *)
 (* Flags shared by the bench harness                               *)
 (* -------------------------------------------------------------- *)
@@ -241,6 +219,19 @@ let spec_term =
   Term.(
     const make_spec $ src_arg $ defines_arg $ config_arg $ collective_arg
     $ lib_arg $ mesh_arg $ topology_arg)
+
+(** Fail naming every [-D] that matches no constant declaration of
+    [prog]. Single-program commands call this so a misspelled override
+    is an error, not a silent default run. *)
+let reject_unknown_defines (prog : Zpl.Prog.t) =
+  match prog.Zpl.Prog.unknown_defines with
+  | [] -> ()
+  | names ->
+      failwith
+        (String.concat "; "
+           (List.map
+              (Printf.sprintf "-D %s matches no constant declaration")
+              names))
 
 (** Run [f], mapping failures to exit code 1 with an [error:] line. *)
 let handle f =

@@ -60,9 +60,8 @@ let defines ~doubles ~busyn ~iters =
 (** Combine-heavy variant for the communication-runtime benchmark:
     eight member arrays cross east in {e one} combined message per
     iteration (the [cc] pass merges the eight same-shaped transfers),
-    so every message carries eight pieces — the case the wire-plan
-    runtime packs into a single pooled staging buffer while the legacy
-    path pays one extract allocation per piece. The loop body is a
+    so every message carries eight pieces, which the wire-plan runtime
+    packs into a single pooled staging buffer. The loop body is a
     single statement: compile it {e without} redundancy removal
     (e.g. [{ baseline with cc = true }]) so the repeated transfers
     survive, which keeps the non-communication share of each iteration
@@ -71,7 +70,7 @@ let defines ~doubles ~busyn ~iters =
     drain the sender runs the whole loop ahead of the receiver: no
     processor ever actually blocks after the first wait, which keeps
     scheduler cost out of the exposed difference — and the staging pool
-    never recycles, so the wire path is measured at its {e worst} case
+    never recycles, so the runtime is measured at its {e worst} case
     (one fresh buffer per message). [combined_busy_source] is the same
     program with the shifted reads made local, for Figure-6-style
     busy-loop subtraction. *)

@@ -6,13 +6,9 @@ type t = {
   lib : Machine.Library.t;
   mesh : int * int;
   topology : Machine.Topology.t;
-  row_path : bool;
   fuse : bool;
-  cse : bool;
-  wire : bool;
   check : bool;
   limit : int;
-  domains : int;
 }
 
 let default source =
@@ -23,13 +19,9 @@ let default source =
     lib = Machine.T3d.pvm;
     mesh = (4, 4);
     topology = Machine.Topology.Ideal;
-    row_path = true;
     fuse = true;
-    cse = true;
-    wire = true;
     check = false;
-    limit = 1_000_000_000;
-    domains = 1 }
+    limit = 1_000_000_000 }
 
 (* stable, so duplicate names keep their relative (semantic) order *)
 let canon_defines ds =
@@ -46,13 +38,9 @@ let with_lib lib t = { t with lib }
 let with_target machine lib t = { t with machine; lib }
 let with_mesh pr pc t = { t with mesh = (pr, pc) }
 let with_topology topology t = { t with topology }
-let with_row_path row_path t = { t with row_path }
 let with_fuse fuse t = { t with fuse }
-let with_cse cse t = { t with cse }
-let with_wire wire t = { t with wire }
 let with_check check t = { t with check }
 let with_limit limit t = { t with limit }
-let with_domains domains t = { t with domains }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical serialization and content address                         *)
@@ -139,10 +127,13 @@ let key t =
   add_i b pr;
   add_i b pc;
   add_s b (Machine.Topology.name t.topology);
-  add_b b t.row_path;
+  (* constant bits where the retired row_path, cse and wire knobs sat:
+     keys stay byte-identical to those of earlier versions, so digests
+     recorded over keys (perfbench's sim_digest) stay comparable *)
+  add_b b true;
   add_b b t.fuse;
-  add_b b t.cse;
-  add_b b t.wire;
+  add_b b true;
+  add_b b true;
   add_b b t.check;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -150,7 +141,7 @@ let equal a b = String.equal (key a) (key b)
 
 let pp ppf t =
   let pr, pc = t.mesh in
-  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s%s%s%s%s}"
+  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s%s}"
     (String.sub (program_digest t) 0 8)
     (Opt.Config.name t.config)
     t.machine.Machine.Params.name
@@ -159,10 +150,7 @@ let pp ppf t =
     (match t.topology with
     | Machine.Topology.Ideal -> ""
     | topo -> ", " ^ Machine.Topology.name topo)
-    (if t.row_path then "" else ", no-row-path")
     (if t.fuse then "" else ", no-fuse")
-    (if t.cse then "" else ", no-cse")
-    (if t.wire then "" else ", no-wire")
     (if t.check then ", check" else "")
 
 (* ------------------------------------------------------------------ *)
@@ -190,15 +178,13 @@ let build ?prog (spec : t) : artifact =
   let flat = Ir.Flat.flatten ir in
   let pr, pc = spec.mesh in
   let plans =
-    Sim.Engine.plan ~row_path:spec.row_path ~fuse:spec.fuse ~cse:spec.cse
-      ~wire:spec.wire ~topology:spec.topology ~machine:spec.machine
-      ~lib:spec.lib ~pr ~pc flat
+    Sim.Engine.plan ~fuse:spec.fuse ~topology:spec.topology
+      ~machine:spec.machine ~lib:spec.lib ~pr ~pc flat
   in
   { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
 
 let engine_of (a : artifact) : Sim.Engine.t =
-  Sim.Engine.of_plans ~limit:a.a_spec.limit ~domains:a.a_spec.domains
-    a.a_plans
+  Sim.Engine.of_plans ~limit:a.a_spec.limit a.a_plans
 
 let run (spec : t) : Sim.Engine.result =
   Sim.Engine.run (engine_of (build spec))

@@ -37,8 +37,8 @@ val send_pieces :
     arrays. *)
 val piece_cells : Zpl.Prog.array_info -> piece -> int
 
-(** Extend a piece's 2-D rectangle to the array's full rank, for
-    extraction and injection. *)
+(** Extend a piece's 2-D rectangle to the array's full rank, for the
+    wire plans' blits. *)
 val full_rect : Zpl.Prog.array_info -> piece -> Zpl.Region.t
 
 (** One partner's share of a transfer on one processor. *)

@@ -145,29 +145,14 @@ val can_join :
   Zpl.Prog.assign_a ->
   bool
 
-(** A group of row-compiled statements sharing one region traversal,
-    possibly preceded by CSE row temporaries: repeated shifted-read
-    subterms of the group's right-hand sides, hoisted so each is
-    computed once per row instead of once per use. Hoisting is only
-    performed when it is bitwise-invisible — the subterm reads no array
-    any fused statement writes (so its value is invariant across the
-    group's interleaved execution), occurrences are matched by syntactic
-    equality only, and the temp row is produced with the same
-    left-to-right float evaluation order as the in-place term. *)
+(** A group of row-compiled statements sharing one region traversal. *)
 type fplan
 
 (** Row-compile a legal group (per {!can_join}) of at least two
     statements into a fused plan; [None] if any statement falls back to
     the per-point path, in which case the caller executes the group
-    statement by statement. [cse] (default [true]) controls subterm
-    hoisting — the [--no-cse] escape hatch; plans built with different
-    [cse] values are distinct, so plan caches must key on the flag. *)
-val plan_fused :
-  ?cse:bool -> rowctx -> Zpl.Prog.assign_a array -> fplan option
-
-(** Number of hoisted row temporaries in a fused plan (0 when compiled
-    with [~cse:false] or when no subterm repeats). *)
-val fused_temp_count : fplan -> int
+    statement by statement. *)
+val plan_fused : rowctx -> Zpl.Prog.assign_a array -> fplan option
 
 (** Execute a fused plan: one traversal of [region], all statements per
     row, in statement order, with this executor's [env] (which supplies

@@ -19,7 +19,6 @@ type t = {
   env : Values.env;
   row_path : bool;  (** whether array statements may use the row path *)
   fuse : bool;  (** whether adjacent assignments may fuse (needs row path) *)
-  cse : bool;  (** whether fused groups may hoist repeated subterms *)
   on_scalar : int -> Values.value -> unit;
       (** observation hook, called after every scalar write *)
   mutable steps : int;  (** simple statements executed *)
@@ -28,8 +27,8 @@ type t = {
 
 exception Step_limit of int
 
-let make ?(row_path = true) ?(fuse = true) ?(cse = true)
-    ?(on_scalar = fun _ _ -> ()) (prog : Zpl.Prog.t) : t =
+let make ?(row_path = true) ?(fuse = true) ?(on_scalar = fun _ _ -> ())
+    (prog : Zpl.Prog.t) : t =
   let stores =
     Array.map
       (fun (info : Zpl.Prog.array_info) ->
@@ -37,7 +36,7 @@ let make ?(row_path = true) ?(fuse = true) ?(cse = true)
       prog.arrays
   in
   { prog; stores; env = Values.make_env prog;
-    row_path; fuse = fuse && row_path; cse; on_scalar;
+    row_path; fuse = fuse && row_path; on_scalar;
     steps = 0; cells = 0 }
 
 (* --- pre-compiled statement tree --- *)
@@ -76,7 +75,7 @@ let rec compile_stmts t (rc : Kernel.rowctx) (stmts : Zpl.Prog.stmt list) :
     | _ :: _ :: _ ->
         let g = Array.of_list (List.rev group) in
         let cas = Array.map (cassign_of t rc) g in
-        CFused (cas, Kernel.plan_fused ~cse:t.cse rc g) :: acc
+        CFused (cas, Kernel.plan_fused rc g) :: acc
   in
   let rec go group acc = function
     | [] -> List.rev (close group acc)
@@ -185,11 +184,10 @@ and exec_stmt t kenv ~limit (s : cstmt) =
     executed (default 10 million) and raises {!Step_limit} beyond it, so a
     buggy [repeat] cannot hang the test suite. [row_path:false] forces the
     per-point fallback everywhere — the differential-testing oracle.
-    [fuse:false] keeps the row path but runs every statement alone.
-    [cse:false] fuses without hoisting repeated subterms. *)
-let run ?(limit = 10_000_000) ?row_path ?fuse ?cse ?on_scalar
-    (prog : Zpl.Prog.t) : t =
-  let t = make ?row_path ?fuse ?cse ?on_scalar prog in
+    [fuse:false] keeps the row path but runs every statement alone. *)
+let run ?(limit = 10_000_000) ?row_path ?fuse ?on_scalar (prog : Zpl.Prog.t)
+    : t =
+  let t = make ?row_path ?fuse ?on_scalar prog in
   let cs, kenv = compile t prog.body in
   exec_stmts t kenv ~limit cs;
   t

@@ -12,7 +12,6 @@ type t = {
   env : Values.env;
   row_path : bool;  (** whether array statements may use the row path *)
   fuse : bool;  (** whether adjacent assignments may fuse (needs row path) *)
-  cse : bool;  (** whether fused groups may hoist repeated subterms *)
   on_scalar : int -> Values.value -> unit;
       (** observation hook, called with (scalar id, new value) after
           every scalar write — loop variable updates included. Used by
@@ -28,7 +27,6 @@ exception Step_limit of int
 val make :
   ?row_path:bool ->
   ?fuse:bool ->
-  ?cse:bool ->
   ?on_scalar:(int -> Values.value -> unit) ->
   Zpl.Prog.t ->
   t
@@ -37,15 +35,13 @@ val make :
     (default 10 million). [row_path] defaults to [true]; [false] forces
     the per-point fallback everywhere. [fuse] defaults to [true];
     [false] keeps the row path but executes every statement alone.
-    [cse] defaults to [true]; [false] fuses without hoisting repeated
-    subterms into row temporaries. Results (stores, scalars, steps,
+    Results (stores, scalars, steps,
     cells) are bit-identical across all configurations —
     property-tested in [test_props.ml]. *)
 val run :
   ?limit:int ->
   ?row_path:bool ->
   ?fuse:bool ->
-  ?cse:bool ->
   ?on_scalar:(int -> Values.value -> unit) ->
   Zpl.Prog.t ->
   t

@@ -40,13 +40,8 @@ let grow_buf (r : buf ref) n : buf =
     r := Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n;
   !r
 
-let buf_of_array (a : float array) : buf =
-  Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
-
-let buf_to_array (b : buf) : float array =
-  Array.init (Bigarray.Array1.dim b) (Bigarray.Array1.get b)
-
-let to_array (s : t) : float array = buf_to_array s.data
+let to_array (s : t) : float array =
+  Array.init (Bigarray.Array1.dim s.data) (Bigarray.Array1.get s.data)
 
 let grow (r : Zpl.Region.t) ~fringe : Zpl.Region.t =
   Array.mapi
@@ -124,22 +119,6 @@ let blit_rows (src : buf) s0 (dst : buf) d0 len =
     Bigarray.Array1.unsafe_set dst (d0 + k)
       (Bigarray.Array1.unsafe_get src (s0 + k))
   done
-
-let extract (s : t) (rect : Zpl.Region.t) : buf =
-  check_rect s "extract" rect;
-  let buf = alloc_buf (Zpl.Region.size rect) in
-  let k = ref 0 in
-  Zpl.Region.iter_rows rect (fun p0 len ->
-      blit_rows s.data (index s p0) buf !k len;
-      k := !k + len);
-  buf
-
-let inject (s : t) (rect : Zpl.Region.t) (buf : buf) =
-  check_rect s "inject" rect;
-  let k = ref 0 in
-  Zpl.Region.iter_rows rect (fun p0 len ->
-      blit_rows buf !k s.data (index s p0) len;
-      k := !k + len)
 
 let copy_rect ~(src : t) ~(dst : t) (rect : Zpl.Region.t) =
   check_rect src "copy_rect (src)" rect;

@@ -7,11 +7,11 @@
     the innermost dimension is stride-1 and any row of a rectangle is a
     contiguous slice reachable with [Bigarray.Array1.sub]/[blit]. The
     record itself is abstract: readers go through {!get}/{!read_only},
-    writers through {!set}/{!inject}, and only the row kernels touch
-    {!unsafe_data}. *)
+    writers through {!set}/{!copy_rect}, and only the row kernels and
+    wire plans touch {!unsafe_data}. *)
 
 (** Flat unboxed float64 buffer, C layout. Also the payload type of
-    simulator messages and of {!extract}/{!inject}. *)
+    simulator messages. *)
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t
@@ -70,20 +70,12 @@ val fill_flat : t -> (int -> float) -> unit
 
 (** The underlying flat buffer, for reading. The view is live — writes
     by the owner show through — but callers of [read_only] must not
-    mutate it; use {!set}/{!inject}/{!unsafe_data} to write. *)
+    mutate it; use {!set}/{!copy_rect}/{!unsafe_data} to write. *)
 val read_only : t -> buf
 
 (** The underlying flat buffer, writable. Reserved for the row kernels
     in {!Kernel}; anything else mutating it bypasses the region checks. *)
 val unsafe_data : t -> buf
-
-(** Copy the values of a rectangle (inside [alloc], checked once) into a
-    fresh buffer, row-major — one contiguous blit per row. *)
-val extract : t -> Zpl.Region.t -> buf
-
-(** Write a row-major buffer back over a rectangle (inside [alloc],
-    checked once), one blit per row. *)
-val inject : t -> Zpl.Region.t -> buf -> unit
 
 (** [copy_rect ~src ~dst rect] copies the values of [rect] (global
     coordinates, inside both allocs — checked once each) from [src] to
@@ -96,12 +88,6 @@ val copy_rect : src:t -> dst:t -> Zpl.Region.t -> unit
     store's buffer — the enumeration wire plans are compiled from. *)
 val row_blits : t -> Zpl.Region.t -> (int -> int -> unit) -> unit
 
-(** Conversions between [buf] and boxed [float array], for tests and
-    report plumbing. *)
-val buf_of_array : float array -> buf
-
-val buf_to_array : buf -> float array
-
 (** Snapshot of the whole flat buffer as a boxed array (bit-comparison
     helper for differential tests). *)
 val to_array : t -> float array
@@ -111,7 +97,6 @@ val alloc_buf : int -> buf
 
 (** [grow_buf r n] returns a buffer of at least [n] cells, reallocating
     (and replacing [!r]) when the current one is too small — the
-    scratch-row allocator shared by the row kernels' write buffers and
-    the fused-plan CSE row temporaries. Cells beyond those the caller
-    fills are unspecified after growth. *)
+    scratch-row allocator of the row kernels' write buffers. Cells
+    beyond those the caller fills are unspecified after growth. *)
 val grow_buf : buf ref -> int -> buf

@@ -33,10 +33,6 @@ let fresh_proc () =
     bytes_sent = 0; bytes_recv = 0; reduces = 0; cells = 0;
     times = { compute = 0.0; comm_cpu = 0.0; wait = 0.0; finish = 0.0 } }
 
-(* Pool fresh/reuse accounting deliberately does NOT live here: the
-   freelist split depends on drain interleaving (serial vs. domain
-   batches), while everything in [t] is bit-identical across drains.
-   See [Engine.pool_counts]. *)
 type t = { procs : per_proc array; mutable instructions : int }
 
 let make n = { procs = Array.init n (fun _ -> fresh_proc ()); instructions = 0 }

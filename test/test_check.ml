@@ -168,6 +168,18 @@ let test_empty_reduction_rejected () =
       Alcotest.(check bool) "mentions the empty region" true
         (contains msg "statically empty" && contains msg "min<<")
 
+(* A misspelled [-D] must fail the single-program CLI commands instead of
+   silently running the program's defaults. *)
+let test_unknown_define_rejected () =
+  let body = "procedure main(); begin [R] A := B; end;" in
+  let p = compile ~defines:[ ("iters", 2.) ] body in
+  Alcotest.check_raises "names the constant"
+    (Failure "-D iters matches no constant declaration") (fun () ->
+      Cli.Cmdline.reject_unknown_defines p);
+  Alcotest.(check int) "handle exits nonzero" 1
+    (Cli.Cmdline.handle (fun () -> Cli.Cmdline.reject_unknown_defines p));
+  Cli.Cmdline.reject_unknown_defines (compile ~defines:[ ("n", 4.) ] body)
+
 let test_dynamic_empty_reduction_accepted () =
   ignore
     (compile
@@ -198,4 +210,6 @@ let () =
         [ Alcotest.test_case "recursion" `Quick test_recursion_rejected;
           Alcotest.test_case "semantic errors" `Quick test_errors;
           Alcotest.test_case "empty reduction rejected" `Quick
-            test_empty_reduction_rejected ] ) ]
+            test_empty_reduction_rejected;
+          Alcotest.test_case "unknown -D rejected by the CLI" `Quick
+            test_unknown_define_rejected ] ) ]

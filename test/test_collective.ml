@@ -3,8 +3,8 @@
     under every experiment row, (b) agree with the opaque vendor
     collective on every benchmark (bit-identical for max/min and for the
     rank-ordered ring/dissemination algorithms, within tolerance for
-    reassociated sums), (c) stay bit-identical across serial/domains and
-    wire/legacy drains, and (d) have a cost search that provably shifts
+    reassociated sums), (c) stay bit-identical whether the drain runs
+    kernels fused or unfused, and (d) have a cost search that provably shifts
     its pick across machine models and mesh sizes. Mutation tests prove
     the checkers actually catch a mis-synthesized schedule. *)
 
@@ -242,7 +242,7 @@ let agreement_case (lib : Machine.Library.t) (b : Programs.Bench_def.t) =
         algs)
 
 (* ------------------------------------------------------------------ *)
-(* Drain differentials: serial vs domains, wire vs legacy              *)
+(* Drain differentials: fused vs unfused kernels around the rounds     *)
 (* ------------------------------------------------------------------ *)
 
 let drain_case (b : Programs.Bench_def.t) =
@@ -263,9 +263,7 @@ let drain_case (b : Programs.Bench_def.t) =
                 (Sim.Engine.final_env base.Sim.Engine.engine)
                 (Sim.Engine.final_env res.Sim.Engine.engine);
               check_arrays what ~tolerance:0.0 c.prog base res)
-            [ ("domains:3", simulate ~mesh ~domains:3 c);
-              ("legacy", simulate ~mesh ~wire:false c);
-              ("legacy/domains:3", simulate ~mesh ~wire:false ~domains:3 c) ])
+            [ ("unfused", simulate ~mesh ~fuse:false c) ])
         algs)
 
 (* ------------------------------------------------------------------ *)

@@ -697,86 +697,19 @@ let test_row_plan_engages () =
       ("index expression", c 3 0 Zpl.Prog.(ABin (Zpl.Ast.Add, AIndex 0, AIndex 1)));
       ("scalar broadcast", c 4 2 (Zpl.Prog.AScalar 0)) ]
 
-(** Row-wise [extract]/[inject] agree with a per-point reference and
-    roundtrip without disturbing cells outside the rectangle. *)
-let prop_extract_inject_rows =
-  QCheck.Test.make ~name:"extract/inject row path == per-point" ~count:300
-    (QCheck.make
-       ~print:(fun (alloc, rect, seed) ->
-         Printf.sprintf "alloc %s, rect %s, seed %d"
-           (Zpl.Region.to_string alloc) (Zpl.Region.to_string rect) seed)
-       QCheck.Gen.(
-         let* rank = int_range 1 3 in
-         let* alloc = gen_kregion rank in
-         let* rect =
-           Array.to_list alloc
-           |> List.map (fun { Zpl.Region.lo; hi } ->
-                  let* l = int_range lo hi in
-                  let* h = int_range l hi in
-                  return (l, h))
-           |> flatten_l
-         in
-         let* seed = int_range 0 9999 in
-         return (alloc, Zpl.Region.make rect, seed)))
-    (fun (alloc, rect, seed) ->
-      let rank = Zpl.Region.rank alloc in
-      let s = mk_store 0 rank alloc seed in
-      (* reference extract, point by point *)
-      let ref_buf = Array.make (Zpl.Region.size rect) 0.0 in
-      let k = ref 0 in
-      Zpl.Region.iter rect (fun p ->
-          ref_buf.(!k) <- Runtime.Store.get s p;
-          incr k);
-      let fast = Runtime.Store.buf_to_array (Runtime.Store.extract s rect) in
-      (* reference inject into a copy of a second store *)
-      let s2 = mk_store 0 rank alloc (seed + 17) in
-      let expected = Runtime.Store.to_array s2 in
-      let k = ref 0 in
-      Zpl.Region.iter rect (fun p ->
-          expected.(Runtime.Store.index s2 p) <- fast.(!k);
-          incr k);
-      Runtime.Store.inject s2 rect (Runtime.Store.buf_of_array fast);
-      Array.map bits fast = Array.map bits ref_buf
-      && Array.map bits (Runtime.Store.to_array s2) = Array.map bits expected)
-
-(** End to end: the sequential executor computes bitwise-identical stores
-    across all four configurations — fused rows with CSE (default),
-    fused without CSE, unfused rows, and the per-point interpreter — on
-    random mini-ZPL programs. *)
-let seqexec_fingerprint ?row_path ?fuse ?cse prog =
-  let t = Runtime.Seqexec.run ?row_path ?fuse ?cse prog in
-  ( t.Runtime.Seqexec.steps,
-    t.Runtime.Seqexec.cells,
-    Array.map
-      (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
-      t.Runtime.Seqexec.stores )
-
-let prop_seqexec_row_path =
-  QCheck.Test.make
-    ~name:"seqexec fused == unfused == per-point (bitwise)" ~count:25 arb_prog
-    (fun p ->
-      let prog = Zpl.Check.compile_string (prog_to_source p) in
-      let fused = seqexec_fingerprint ~row_path:true ~fuse:true prog in
-      let no_cse = seqexec_fingerprint ~row_path:true ~fuse:true ~cse:false prog in
-      let unfused = seqexec_fingerprint ~row_path:true ~fuse:false prog in
-      let point = seqexec_fingerprint ~row_path:false prog in
-      fused = no_cse && no_cse = unfused && unfused = point)
-
 (* ------------------------------------------------------------------ *)
-(* Cross-statement CSE in fused row kernels                            *)
+(* Fused row kernels on programs that fuse                             *)
 (*                                                                     *)
 (* The general generator above writes the same arrays it reads, which  *)
-(* mostly disqualifies subterms from hoisting (a CSE'd term must read  *)
-(* no array the fused group writes). This generator is biased the      *)
-(* other way: statements write only E/F/G and draw their right-hand    *)
-(* sides from a 4-entry pool of neighbor sums over A..D, so adjacent   *)
-(* statements fuse AND repeat subterms — the CSE stage fires on most   *)
-(* draws, and must stay bitwise-invisible on every one.                *)
+(* mostly keeps adjacent statements from fusing. This generator is     *)
+(* biased the other way: statements write only E/F/G and draw their    *)
+(* right-hand sides from a 4-entry pool of neighbor sums over A..D, so  *)
+(* adjacent statements fuse and repeat subterms on most draws.         *)
 (* ------------------------------------------------------------------ *)
 
-let cse_lhs = [| "E"; "F"; "G" |]
+let cprog_lhs = [| "E"; "F"; "G" |]
 
-let cse_pool =
+let cprog_pool =
   [| "(A@[0,1] + A@[0,-1])"; "(B@[1,0] + B@[-1,0])";
      "(C@[0,1] + C@[1,0])"; "(D@[-1,0] + D@[0,-1])" |]
 
@@ -813,154 +746,50 @@ begin
     (fun i (t1, t2) ->
       Buffer.add_string buf
         (Printf.sprintf "    [R] %s := %.2f * %s + %.2f * %s + 0.01 * %d;\n"
-           cse_lhs.(i)
+           cprog_lhs.(i)
            (0.5 /. float_of_int (i + 1))
-           cse_pool.(t1)
+           cprog_pool.(t1)
            (0.25 /. float_of_int (i + 1))
-           cse_pool.(t2) i))
+           cprog_pool.(t2) i))
     p.cterms;
   Buffer.add_string buf "  end;\nend;\n";
   Buffer.contents buf
 
-let arb_cprog = QCheck.make ~print:cprog_to_source gen_cprog
-
-let prop_seqexec_cse =
-  QCheck.Test.make ~name:"seqexec CSE'd == no-CSE == per-point (bitwise)"
-    ~count:40 arb_cprog (fun p ->
-      let prog = Zpl.Check.compile_string (cprog_to_source p) in
-      let cse = seqexec_fingerprint ~row_path:true ~fuse:true ~cse:true prog in
-      let no_cse =
-        seqexec_fingerprint ~row_path:true ~fuse:true ~cse:false prog
-      in
-      let point = seqexec_fingerprint ~row_path:false prog in
-      cse = no_cse && no_cse = point)
-
-(** The CSE stage must actually engage on the paper's shapes — a fused
-    TOMCATV-like pair sharing a neighbor sum hoists at least one row
-    temporary, executes bit-identically to the per-point oracle, and
-    compiles to zero temporaries (same bits) under [~cse:false]. *)
-let test_cse_plan_engages () =
-  let region = Zpl.Region.make [ (1, 8); (1, 8) ] in
-  let shared =
-    Zpl.Prog.(ABin (Zpl.Ast.Add, ARef (0, [| 0; 1 |]), ARef (0, [| 0; -1 |])))
-  in
-  let rhs c =
-    Zpl.Prog.(
-      ABin
-        ( Zpl.Ast.Add,
-          ABin (Zpl.Ast.Mul, AConst c, shared),
-          ABin (Zpl.Ast.Mul, AConst (c /. 2.0), ARef (0, [| 1; 0 |])) ))
-  in
-  let stmt lhs c =
-    { Zpl.Prog.region = Zpl.Prog.dregion_of_region region; lhs; rhs = rhs c;
-      flops = 0 }
-  in
-  let group = [| stmt 1 0.25; stmt 2 0.75 |] in
-  let mk () =
-    let alloc = grow1 region in
-    let stores = Array.init narrays (fun aid -> mk_store aid 2 alloc 77) in
-    let ws = Runtime.Kernel.make_ws () in
-    let rc =
-      { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws }
-    in
-    let mkenv () =
-      Runtime.Kernel.make_env ~stores ~scalar:kscalar
-        (Runtime.Kernel.ws_spec ws)
-    in
-    (stores, rc, mkenv)
-  in
-  let fingerprint stores =
+(** End to end: the sequential executor computes bitwise-identical stores
+    across fused rows (default), unfused rows and the per-point
+    interpreter, on random programs from both generators. *)
+let seqexec_fingerprint ?row_path ?fuse prog =
+  let t = Runtime.Seqexec.run ?row_path ?fuse prog in
+  ( t.Runtime.Seqexec.steps,
+    t.Runtime.Seqexec.cells,
     Array.map
       (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
-      stores
-  in
-  (* per-point oracle, statement by statement *)
-  let stores_pt, rc_pt, mkenv_pt = mk () in
-  let plans_pt =
-    Array.map (Runtime.Kernel.plan_assign ~row:false rc_pt) group
-  in
-  let env_pt = mkenv_pt () in
-  Array.iteri
-    (fun i (a : Zpl.Prog.assign_a) ->
-      ignore
-        (Runtime.Kernel.exec_plan plans_pt.(i) ~env:env_pt
-           ~lhs:stores_pt.(a.Zpl.Prog.lhs) ~region))
-    group;
-  (* fused with CSE: a temp must be hoisted, bits must match *)
-  let stores_f, rc_f, mkenv_f = mk () in
-  (match Runtime.Kernel.plan_fused rc_f group with
-  | None -> Alcotest.fail "group should row-compile"
-  | Some fp ->
-      Alcotest.(check bool) "hoists a row temporary" true
-        (Runtime.Kernel.fused_temp_count fp > 0);
-      Alcotest.(check int) "cells"
-        (2 * Zpl.Region.size region)
-        (Runtime.Kernel.exec_fused fp ~env:(mkenv_f ()) ~region));
-  Alcotest.(check bool) "CSE'd == per-point (bitwise)" true
-    (fingerprint stores_f = fingerprint stores_pt);
-  (* --no-cse: zero temps, same bits *)
-  let stores_n, rc_n, mkenv_n = mk () in
-  (match Runtime.Kernel.plan_fused ~cse:false rc_n group with
-  | None -> Alcotest.fail "group should row-compile without CSE"
-  | Some fp ->
-      Alcotest.(check int) "no temps under --no-cse" 0
-        (Runtime.Kernel.fused_temp_count fp);
-      ignore (Runtime.Kernel.exec_fused fp ~env:(mkenv_n ()) ~region));
-  Alcotest.(check bool) "no-CSE fused == per-point (bitwise)" true
-    (fingerprint stores_n = fingerprint stores_pt)
+      t.Runtime.Seqexec.stores )
 
-(** Extract/inject round-trips exactly at Bigarray sub-view boundaries:
-    full fringe rows/columns of a fringed store, and rank-3 rectangles
-    flush against the never-grown innermost dimension. *)
-let test_extract_inject_boundaries () =
-  let check_roundtrip name (s : Runtime.Store.t) rect =
-    fill_store s 42;
-    let before = Runtime.Store.to_array s in
-    let b = Runtime.Store.extract s rect in
-    Runtime.Store.inject s rect b;
-    Alcotest.(check bool) (name ^ ": store untouched") true
-      (Array.map bits before = Array.map bits (Runtime.Store.to_array s));
-    Alcotest.(check int) (name ^ ": size") (Zpl.Region.size rect)
-      (Bigarray.Array1.dim b)
-  in
-  let info2 =
-    { Zpl.Prog.a_id = 0; a_name = "A";
-      a_region = Zpl.Region.make [ (0, 9); (0, 9) ]; a_rank = 2 }
-  in
-  let s = Runtime.Store.make info2 ~owned:(Zpl.Region.make [ (2, 5); (2, 5) ])
-      ~fringe:1 in
-  (* alloc is [1..6, 1..6]: rows/cols at both fringe edges *)
-  check_roundtrip "west fringe column" s (Zpl.Region.make [ (1, 6); (1, 1) ]);
-  check_roundtrip "east fringe column" s (Zpl.Region.make [ (1, 6); (6, 6) ]);
-  check_roundtrip "north fringe row" s (Zpl.Region.make [ (1, 1); (1, 6) ]);
-  check_roundtrip "full alloc" s (Zpl.Region.make [ (1, 6); (1, 6) ]);
-  let info3 =
-    { Zpl.Prog.a_id = 0; a_name = "Q";
-      a_region = Zpl.Region.make [ (1, 4); (1, 4); (1, 6) ]; a_rank = 3 }
-  in
-  let q =
-    Runtime.Store.make info3
-      ~owned:(Zpl.Region.make [ (1, 2); (1, 2); (1, 6) ])
-      ~fringe:1
-  in
-  (* dim 2 is never grown: rectangles flush against both of its edges *)
-  check_roundtrip "rank-3, full dim 2" q
-    (Zpl.Region.make [ (0, 3); (1, 1); (1, 6) ]);
-  check_roundtrip "rank-3, dim-2 lo edge" q
-    (Zpl.Region.make [ (1, 2); (1, 2); (1, 1) ]);
-  check_roundtrip "rank-3, dim-2 hi edge" q
-    (Zpl.Region.make [ (1, 2); (1, 2); (6, 6) ])
+let prop_seqexec_row_path =
+  QCheck.Test.make
+    ~name:"seqexec fused == unfused == per-point (bitwise)" ~count:40
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(
+         oneof
+           [ map prog_to_source gen_prog; map cprog_to_source gen_cprog ]))
+    (fun src ->
+      let prog = Zpl.Check.compile_string src in
+      let fused = seqexec_fingerprint ~row_path:true ~fuse:true prog in
+      let unfused = seqexec_fingerprint ~row_path:true ~fuse:false prog in
+      let point = seqexec_fingerprint ~row_path:false prog in
+      fused = unfused && unfused = point)
 
 (* ------------------------------------------------------------------ *)
-(* Simulator: fusion and domain-parallel drain preserve everything     *)
+(* Simulator: fusion preserves everything                              *)
 (* ------------------------------------------------------------------ *)
 
-let engine_fingerprint ?cse ~fuse ~domains prog =
+let engine_fingerprint ~fuse prog =
   let ir = Opt.Passes.compile Opt.Config.pl_cum prog in
   let res =
     Sim.Engine.run
-      (Sim.Engine.of_plans ~domains
-         (Sim.Engine.plan ~fuse ?cse ~machine:Machine.T3d.machine
+      (Sim.Engine.of_plans
+         (Sim.Engine.plan ~fuse ~machine:Machine.T3d.machine
             ~lib:Machine.T3d.pvm ~pr:2 ~pc:2 (Ir.Flat.flatten ir)))
   in
   ( bits res.Sim.Engine.time,
@@ -971,66 +800,13 @@ let engine_fingerprint ?cse ~fuse ~domains prog =
           (Runtime.Store.to_array (Sim.Engine.gather res.Sim.Engine.engine aid)))
       prog.Zpl.Prog.arrays )
 
-(** Kernel fusion (with and without CSE) and the domain-parallel drain
-    all leave simulated time, statistics and every array bit-identical
-    to the serial, unfused engine. *)
-let prop_engine_fuse_parallel =
-  QCheck.Test.make
-    ~name:"engine: fused/parallel == unfused/serial (bitwise)" ~count:12
+(** Kernel fusion leaves simulated time, statistics and every array
+    bit-identical to the unfused engine. *)
+let prop_engine_fuse =
+  QCheck.Test.make ~name:"engine: fused == unfused (bitwise)" ~count:12
     arb_prog (fun p ->
       let prog = Zpl.Check.compile_string (prog_to_source p) in
-      let base = engine_fingerprint ~fuse:false ~domains:1 prog in
-      base = engine_fingerprint ~fuse:true ~domains:1 prog
-      && base = engine_fingerprint ~fuse:true ~cse:false ~domains:1 prog
-      && base = engine_fingerprint ~fuse:true ~domains:3 prog)
-
-(** The engine's fused plans with CSE stay bit-identical on programs
-    engineered so the hoisting stage actually fires (see [arb_cprog]). *)
-let prop_engine_cse =
-  QCheck.Test.make ~name:"engine: CSE'd == no-CSE (bitwise)" ~count:10
-    arb_cprog (fun p ->
-      let prog = Zpl.Check.compile_string (cprog_to_source p) in
-      engine_fingerprint ~fuse:true ~cse:true ~domains:1 prog
-      = engine_fingerprint ~fuse:true ~cse:false ~domains:1 prog)
-
-(* ------------------------------------------------------------------ *)
-(* Wire-plan comm runtime == legacy extract/inject comm path           *)
-(* ------------------------------------------------------------------ *)
-
-let wire_fingerprint ~wire ~domains (config, lib) prog =
-  let ir = Opt.Passes.compile config prog in
-  let res =
-    Sim.Engine.run
-      (Sim.Engine.of_plans ~domains
-         (Sim.Engine.plan ~wire ~machine:Machine.T3d.machine ~lib ~pr:2 ~pc:2
-            (Ir.Flat.flatten ir)))
-  in
-  ( bits res.Sim.Engine.time,
-    res.Sim.Engine.stats,
-    Array.mapi
-      (fun aid _ ->
-        Array.map bits
-          (Runtime.Store.to_array (Sim.Engine.gather res.Sim.Engine.engine aid)))
-      prog.Zpl.Prog.arrays,
-    Sim.Engine.final_env res.Sim.Engine.engine )
-
-(** The pre-compiled wire-plan communication runtime (pooled staging
-    buffers, ring mailboxes) is observationally identical to the legacy
-    extract/inject path: simulated time, every statistic, every gathered
-    array, and the final scalar environment match bit for bit — across
-    all six paper experiment rows (every optimization config and both
-    libraries, so cc-combined multi-array messages and SHMEM rendezvous
-    tokens are all exercised), and under the domain-parallel drain. *)
-let prop_wire_equals_legacy =
-  QCheck.Test.make ~name:"engine: wire plans == legacy comm (bitwise)"
-    ~count:10 arb_prog (fun p ->
-      let prog = Zpl.Check.compile_string (prog_to_source p) in
-      List.for_all
-        (fun (_, config, lib) ->
-          let legacy = wire_fingerprint ~wire:false ~domains:1 (config, lib) prog in
-          legacy = wire_fingerprint ~wire:true ~domains:1 (config, lib) prog
-          && legacy = wire_fingerprint ~wire:true ~domains:3 (config, lib) prog)
-        Report.Experiment.paper_rows)
+      engine_fingerprint ~fuse:false prog = engine_fingerprint ~fuse:true prog)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel experiment grid == serial grid                      *)
@@ -1075,14 +851,8 @@ let () =
       ( "row engine",
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
-            prop_extract_inject_rows; prop_seqexec_row_path;
-            prop_seqexec_cse; prop_engine_fuse_parallel; prop_engine_cse;
-            prop_wire_equals_legacy ]
+            prop_seqexec_row_path; prop_engine_fuse ]
         @ [ Alcotest.test_case "stencil compiles to row plan" `Quick
               test_row_plan_engages;
-            Alcotest.test_case "fused CSE engages and matches per-point"
-              `Quick test_cse_plan_engages;
-            Alcotest.test_case "extract/inject at view boundaries" `Quick
-              test_extract_inject_boundaries;
             Alcotest.test_case "parallel grid == serial grid" `Quick
               test_grid_parallel_deterministic ] ) ]

@@ -66,16 +66,6 @@ let test_store_get_set () =
     (Invalid_argument "Store.get: 0,0 out of [1..6, 1..6] of A") (fun () ->
       ignore (Runtime.Store.get s [| 0; 0 |]))
 
-let test_store_extract_inject () =
-  let s = Runtime.Store.make info2 ~owned:(r2 0 4 0 4) ~fringe:1 in
-  let rect = r2 2 3 1 4 in
-  let arr = Array.init (R.size rect) (fun i -> float_of_int i +. 0.5) in
-  Runtime.Store.inject s rect (Runtime.Store.buf_of_array arr);
-  Alcotest.(check (array (float 0.)))
-    "roundtrip" arr
-    (Runtime.Store.buf_to_array (Runtime.Store.extract s rect));
-  Alcotest.(check (float 0.)) "row-major order" 1.5 (Runtime.Store.get s [| 2; 2 |])
-
 let test_store_rank3 () =
   let info3 =
     { Zpl.Prog.a_id = 0; a_name = "Q"; a_region = R.make [ (1, 4); (1, 4); (1, 6) ];
@@ -237,7 +227,6 @@ let () =
           Alcotest.test_case "coords roundtrip" `Quick test_coords_roundtrip ] );
       ( "store",
         [ Alcotest.test_case "get/set" `Quick test_store_get_set;
-          Alcotest.test_case "extract/inject" `Quick test_store_extract_inject;
           Alcotest.test_case "rank 3" `Quick test_store_rank3 ] );
       ( "halo",
         [ Alcotest.test_case "east slice" `Quick test_halo_east;
