@@ -6,7 +6,7 @@
     dune exec bench/main.exe -- --quick  small problem sizes (CI-fast);
                                          also runs the kernel benchmark
                                          and writes BENCH_kernel.json
-    dune exec bench/main.exe -- --kernel per-point vs row vs fused kernel
+    dune exec bench/main.exe -- --kernel per-point vs row kernel
                                          throughput + serial vs parallel
                                          grid wall time; writes
                                          BENCH_kernel.json
@@ -191,49 +191,111 @@ let note_spread (trials : float list) =
 
 let drift_threshold = 0.10
 
-(** The shared --baseline verdict: print any >= 5% regressions and exit
-    3 — unless the rotated trials disagreed among themselves by more
-    than {!drift_threshold}, in which case the host's own noise dwarfs
-    the gate and the regressions are downgraded to an advisory
-    warning. *)
-let gate ~baseline ~unit regressions =
-  match regressions with
-  | [] ->
-      Printf.printf "No throughput regressions >= 5%% against %s\n" baseline
-  | rs ->
-      List.iter
-        (fun (key, was, now) ->
-          Printf.printf "REGRESSION %s: %.0f -> %.0f %s (%.1f%%)\n" key was
-            now unit
-            (100. *. (1. -. (now /. was))))
-        rs;
-      if !max_drift >= drift_threshold then
-        Printf.printf
-          "DRIFT: trial spread %.0f%% >= %.0f%% — host too noisy for the 5%% \
-           gate; the regressions above are advisory only\n"
-          (100. *. !max_drift)
-          (100. *. drift_threshold)
-      else exit 3
+(** Minimal reader for the flat [{"key": number, ...}] files this
+    program writes: one pair per line, string values skipped. *)
+let baseline_numbers path : (string * float) list =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+    | line -> (
+        let line = String.trim line in
+        if String.length line = 0 || line.[0] <> '"' then go acc
+        else
+          match String.index_from_opt line 1 '"' with
+          | None -> go acc
+          | Some j -> (
+              let key = String.sub line 1 (j - 1) in
+              match String.index_from_opt line j ':' with
+              | None -> go acc
+              | Some k ->
+                  let v =
+                    String.trim
+                      (String.sub line (k + 1) (String.length line - k - 1))
+                  in
+                  let v =
+                    if String.length v > 0 && v.[String.length v - 1] = ',' then
+                      String.sub v 0 (String.length v - 1)
+                    else v
+                  in
+                  (match float_of_string_opt v with
+                  | Some f -> go ((key, f) :: acc)
+                  | None -> go acc)))
+  in
+  go []
+
+(** Read the --baseline artifact before anything is measured, so an
+    unreadable file fails at once instead of after the whole run. *)
+let load_baseline = function
+  | None -> None
+  | Some path -> (
+      match baseline_numbers path with
+      | numbers -> Some (path, numbers)
+      | exception Sys_error msg ->
+          Printf.eprintf "error: cannot read --baseline: %s\n" msg;
+          exit 1)
+
+(** The shared --baseline verdict over one mode's [(key, value)] list.
+    Only throughput keys (ending in [_per_sec]) present in the baseline
+    are compared; deterministic model outputs, wall-clock grid times and
+    allocation counts are informational. A baseline that shares no such
+    key with the mode is an error (exit 1), not a silent pass. A key
+    below 0.95x its baseline value is a regression (exit 3) — unless
+    the rotated trials disagreed among themselves by more than
+    {!drift_threshold}, in which case the host's own noise dwarfs the
+    gate and the regressions are downgraded to an advisory warning. *)
+let gate ~unit baseline numbers =
+  match baseline with
+  | None -> ()
+  | Some (file, base) -> (
+      let compared =
+        List.filter_map
+          (fun (key, now) ->
+            if not (Filename.check_suffix key "_per_sec") then None
+            else
+              Option.map (fun was -> (key, was, now)) (List.assoc_opt key base))
+          numbers
+      in
+      Printf.printf "Compared %d throughput keys against %s\n"
+        (List.length compared) file;
+      if compared = [] then begin
+        Printf.eprintf
+          "error: --baseline %s shares no throughput key with this mode\n"
+          file;
+        exit 1
+      end;
+      match List.filter (fun (_, was, now) -> now < was *. 0.95) compared with
+      | [] ->
+          Printf.printf "No throughput regressions >= 5%% against %s\n" file
+      | rs ->
+          List.iter
+            (fun (key, was, now) ->
+              Printf.printf "REGRESSION %s: %.0f -> %.0f %s (%.1f%%)\n" key
+                was now unit
+                (100. *. (1. -. (now /. was))))
+            rs;
+          if !max_drift >= drift_threshold then
+            Printf.printf
+              "DRIFT: trial spread %.0f%% >= %.0f%% — host too noisy for the \
+               5%% gate; the regressions above are advisory only\n"
+              (100. *. !max_drift)
+              (100. *. drift_threshold)
+          else exit 3)
 
 (** Cells/second of one benchmark's kernel loops on a 1x1-mesh engine —
     the simulated program is pure kernel execution there (no
     communication), so the measurement isolates the array-statement
-    execution path. [path] picks the strategy: interpreted per-point, row
-    kernels without fusion, or fused row kernels (the default engine
-    configuration). *)
-let kernel_trial ~path ~budget (c : Commopt.compiled) =
-  let row_path, fuse =
-    match path with
-    | `Point -> (false, false)
-    | `Row -> (true, false)
-    | `Fused -> (true, true)
-  in
+    execution path. [row_path] picks the strategy: row kernels (the
+    engine's default) or the interpreted per-point reference. *)
+let kernel_trial ~row_path ~budget (c : Commopt.compiled) =
   let cells = ref 0 in
   let runs, total =
     repeat_for ~budget (fun () ->
         let engine =
           Sim.Engine.of_plans
-            (Sim.Engine.plan ~row_path ~fuse ~machine:Machine.T3d.machine
+            (Sim.Engine.plan ~row_path ~machine:Machine.T3d.machine
                ~lib:Machine.T3d.shmem ~pr:1 ~pc:1 c.flat)
         in
         let result = Sim.Engine.run engine in
@@ -247,8 +309,7 @@ let kernel_trial ~path ~budget (c : Commopt.compiled) =
 type path_cps = {
   pc_cells : int;  (** cells per run *)
   pc_point : float;  (** cells/sec, per-point path *)
-  pc_row : float;  (** cells/sec, row path, fusion off *)
-  pc_fused : float;  (** cells/sec, fused row path *)
+  pc_row : float;  (** cells/sec, row path *)
 }
 
 (** Best of three interleaved trials per path. Interference on a shared
@@ -261,7 +322,8 @@ type path_cps = {
     before the rotation. *)
 let bench_paths ~defines source =
   let c = compile ~config:Opt.Config.pl_cum ~defines source in
-  let paths = [| `Fused; `Row; `Point |] in
+  (* [row_path] of each path: the row kernels, then the per-point one *)
+  let paths = [| true; false |] in
   let np = Array.length paths in
   let best = Array.make np 0.0 in
   let seen = Array.make np [] in
@@ -269,17 +331,14 @@ let bench_paths ~defines source =
   for trial = 0 to 2 do
     for j = 0 to np - 1 do
       let i = (j + trial) mod np in
-      let cps, n = kernel_trial ~path:paths.(i) ~budget:0.25 c in
+      let cps, n = kernel_trial ~row_path:paths.(i) ~budget:0.25 c in
       cells := n;
       seen.(i) <- cps :: seen.(i);
       if cps > best.(i) then best.(i) <- cps
     done
   done;
   Array.iter note_spread seen;
-  { pc_cells = !cells;
-    pc_point = best.(2);
-    pc_row = best.(1);
-    pc_fused = best.(0) }
+  { pc_cells = !cells; pc_point = best.(1); pc_row = best.(0) }
 
 type kernel_bench = {
   kb_tomcatv : path_cps;
@@ -315,21 +374,19 @@ let run_kernel_bench ~scale () =
 
 (** The JSON payload as key/value pairs; the first artifact's keys keep
     their names, with [row_path_cells_per_sec] tracking the engine's
-    default configuration (fused rows) so old baselines stay
+    default configuration (row kernels) so old baselines stay
     comparable. *)
 let kernel_numbers (kb : kernel_bench) : (string * float) list =
   let t = kb.kb_tomcatv and s = kb.kb_swm in
   [ ("cells_per_run", float_of_int t.pc_cells);
     ("point_path_cells_per_sec", t.pc_point);
-    ("row_path_cells_per_sec", t.pc_fused);
-    ("row_vs_point_speedup", t.pc_fused /. t.pc_point);
+    ("row_path_cells_per_sec", t.pc_row);
+    ("row_vs_point_speedup", t.pc_row /. t.pc_point);
     ("tomcatv_point_cells_per_sec", t.pc_point);
     ("tomcatv_row_cells_per_sec", t.pc_row);
-    ("tomcatv_fused_cells_per_sec", t.pc_fused);
     ("swm_cells_per_run", float_of_int s.pc_cells);
     ("swm_point_cells_per_sec", s.pc_point);
     ("swm_row_cells_per_sec", s.pc_row);
-    ("swm_fused_cells_per_sec", s.pc_fused);
     ("grid_quick_serial_sec", kb.kb_grid_serial);
     ("grid_quick_parallel_sec", kb.kb_grid_parallel);
     ("grid_domains", float_of_int kb.kb_domains) ]
@@ -381,7 +438,7 @@ let write_bench_json path ~benchmark entries =
 let write_kernel_json path (kb : kernel_bench) =
   write_bench_json path
     ~benchmark:
-      "kernel loops on a 1x1 mesh (T3D shmem): per-point vs row vs fused"
+      "kernel loops on a 1x1 mesh (T3D shmem): per-point vs row"
     (num_entries (kernel_numbers kb))
 
 (* --------------------------------------------------------------- *)
@@ -802,56 +859,6 @@ let write_sweep_json path numbers =
        row x collective spec grid (test scale, 1 iteration, 2x2 mesh)"
     (num_entries numbers)
 
-(** Minimal reader for the flat [{"key": number, ...}] files this
-    program writes: one pair per line, string values skipped. *)
-let baseline_numbers path : (string * float) list =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line -> (
-        let line = String.trim line in
-        if String.length line = 0 || line.[0] <> '"' then go acc
-        else
-          match String.index_from_opt line 1 '"' with
-          | None -> go acc
-          | Some j -> (
-              let key = String.sub line 1 (j - 1) in
-              match String.index_from_opt line j ':' with
-              | None -> go acc
-              | Some k ->
-                  let v =
-                    String.trim
-                      (String.sub line (k + 1) (String.length line - k - 1))
-                  in
-                  let v =
-                    if String.length v > 0 && v.[String.length v - 1] = ',' then
-                      String.sub v 0 (String.length v - 1)
-                    else v
-                  in
-                  (match float_of_string_opt v with
-                  | Some f -> go ((key, f) :: acc)
-                  | None -> go acc)))
-  in
-  go []
-
-(** Same ≥5% gate as the other benchmarks over the sweep's throughput
-    keys. The speedup ratio and hit counts are structural, not gated
-    here — the warm pass's hit rate is a hard correctness assert
-    (exit 4) instead. *)
-let sweep_regressions ~baseline numbers =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    numbers
-
 let print_sweep_bench ?baseline ~scale () =
   let items = sweep_items ~scale () in
   let n = List.length items in
@@ -946,28 +953,7 @@ let print_sweep_bench ?baseline ~scale () =
     write_sweep_json "BENCH_sweep.json" numbers;
     Printf.printf "\nWrote BENCH_sweep.json\n"
   end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec" (sweep_regressions ~baseline:file numbers)
-
-(* --------------------------------------------------------------- *)
-(* Baseline comparison: --kernel --baseline FILE                     *)
-(* --------------------------------------------------------------- *)
-
-(** Compare throughput keys against a baseline file; returns the keys
-    that regressed by 5% or more. Wall-clock grid times are excluded:
-    they measure this machine's load, not the execution paths. *)
-let kernel_regressions ~baseline (kb : kernel_bench) =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "cells_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    (kernel_numbers kb)
+  gate ~unit:"/sec" baseline numbers
 
 let print_kernel_bench ?baseline ~scale () =
   let kb = run_kernel_bench ~scale () in
@@ -975,13 +961,11 @@ let print_kernel_bench ?baseline ~scale () =
     Printf.sprintf
       "%s (%d cells/run):\n\
       \  per-point path : %12.0f cells/sec\n\
-      \  row path       : %12.0f cells/sec\n\
-      \  fused rows     : %12.0f cells/sec  (%.2fx point, %.2fx row)"
-      name p.pc_cells p.pc_point p.pc_row p.pc_fused
-      (p.pc_fused /. p.pc_point)
-      (p.pc_fused /. p.pc_row)
+      \  row path       : %12.0f cells/sec  (%.2fx point)"
+      name p.pc_cells p.pc_point p.pc_row
+      (p.pc_row /. p.pc_point)
   in
-  section "Kernel benchmark: per-point vs row-compiled vs fused"
+  section "Kernel benchmark: per-point vs row-compiled"
     (Printf.sprintf
        "Build profile: %s (flambda: %b)\n\
         %s\n\
@@ -999,25 +983,7 @@ let print_kernel_bench ?baseline ~scale () =
     write_kernel_json "BENCH_kernel.json" kb;
     Printf.printf "\nWrote BENCH_kernel.json\n"
   end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"cells/sec"
-        (kernel_regressions ~baseline:file kb)
-
-(** Same ≥5% gate as {!kernel_regressions} over the collective grid's
-    throughput keys; sim_us keys are deterministic model outputs, not
-    measurements, so they are informational. *)
-let coll_regressions ~baseline grid =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    (coll_numbers grid)
+  gate ~unit:"cells/sec" baseline (kernel_numbers kb)
 
 let print_coll_bench ?baseline ~scale () =
   let grid = run_coll_bench ~scale () in
@@ -1066,23 +1032,7 @@ let print_coll_bench ?baseline ~scale () =
     write_coll_json "BENCH_collective.json" grid;
     Printf.printf "\nWrote BENCH_collective.json\n"
   end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec" (coll_regressions ~baseline:file grid)
-
-(** Same ≥5% gate as {!kernel_regressions}, over every throughput key
-    of the comm benchmark. Allocation counts are informational only. *)
-let comm_regressions ~baseline (cb : comm_bench) =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    (comm_numbers cb)
+  gate ~unit:"/sec" baseline (coll_numbers grid)
 
 let print_comm_bench ?baseline ~scale () =
   let cb = run_comm_bench ~scale () in
@@ -1103,10 +1053,7 @@ let print_comm_bench ?baseline ~scale () =
     write_comm_json "BENCH_comm.json" cb;
     Printf.printf "\nWrote BENCH_comm.json\n"
   end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec" (comm_regressions ~baseline:file cb)
+  gate ~unit:"/sec" baseline (comm_numbers cb)
 
 (* --------------------------------------------------------------- *)
 (* Contention benchmark: topology-aware network model                *)
@@ -1267,23 +1214,6 @@ let contention_entries (nb : contention_bench) : (string * jval) list =
           Num rps ))
       nb.nb_runs_per_sec
 
-(** Same >= 5% gate as the other benchmarks, over the host throughput
-    keys only: every sim_sec key is a deterministic model output that
-    legitimately moves when the model does, so those are not gated. *)
-let contention_regressions ~baseline entries =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, v) ->
-      match v with
-      | Str _ -> None
-      | Num now -> (
-          if not (Filename.check_suffix key "_per_sec") then None
-          else
-            match List.assoc_opt key base with
-            | Some was when now < was *. 0.95 -> Some (key, was, now)
-            | _ -> None))
-    entries
-
 let print_contention_bench ?baseline ~scale () =
   let nb = run_contention_bench ~scale () in
   let buf = Buffer.create 1024 in
@@ -1344,11 +1274,10 @@ let print_contention_bench ?baseline ~scale () =
       (contention_entries nb);
     Printf.printf "\nWrote BENCH_contention.json\n"
   end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec"
-        (contention_regressions ~baseline:file (contention_entries nb))
+  gate ~unit:"/sec" baseline
+    (List.filter_map
+       (function k, Num v -> Some (k, v) | _, Str _ -> None)
+       (contention_entries nb))
 
 (* Flag parsing is shared with zplc through {!Cli.Cmdline} (--quick,
    --baseline); only the mode selector is bench-specific. *)
@@ -1364,7 +1293,7 @@ let main =
             ( `Kernel,
               info [ "kernel" ]
                 ~doc:
-                  "per-point vs row vs fused kernel throughput; writes \
+                  "per-point vs row kernel throughput; writes \
                    BENCH_kernel.json" );
             ( `Comm,
               info [ "comm" ]
@@ -1390,6 +1319,7 @@ let main =
   in
   let run mode quick baseline =
     let scale = Cli.Cmdline.scale_of_quick quick in
+    let baseline = load_baseline baseline in
     match mode with
     | `Bechamel -> run_bechamel ()
     | `Kernel -> print_kernel_bench ?baseline ~scale ()

@@ -386,11 +386,9 @@ let run_cmd =
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"check against the sequential oracle")
   in
-  let run src spec verify_flag check_flag no_fuse =
+  let run src spec verify_flag check_flag =
     Cmdline.handle (fun () ->
-        let spec =
-          Run.Spec.(spec |> with_check check_flag |> with_fuse (not no_fuse))
-        in
+        let spec = Run.Spec.with_check check_flag spec in
         let cache = Run.Cache.create () in
         let c = of_spec ~cache spec in
         Cmdline.reject_unknown_defines c.prog;
@@ -425,7 +423,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"simulate a program on a machine model")
     Term.(
       const run $ Cmdline.src_arg $ Cmdline.spec_term $ verify_arg
-      $ Cmdline.check_arg $ Cmdline.no_fuse_arg)
+      $ Cmdline.check_arg)
 
 let bench_cmd =
   let name_arg =

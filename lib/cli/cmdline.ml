@@ -168,11 +168,6 @@ let check_arg =
     & info [ "check" ]
         ~doc:"statically verify the emitted schedule (schedcheck)")
 
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ] ~doc:"disable row-kernel fusion in the simulator")
-
 (* -------------------------------------------------------------- *)
 (* Flags shared by the bench harness                               *)
 (* -------------------------------------------------------------- *)

@@ -6,7 +6,6 @@ type t = {
   lib : Machine.Library.t;
   mesh : int * int;
   topology : Machine.Topology.t;
-  fuse : bool;
   check : bool;
   limit : int;
 }
@@ -19,7 +18,6 @@ let default source =
     lib = Machine.T3d.pvm;
     mesh = (4, 4);
     topology = Machine.Topology.Ideal;
-    fuse = true;
     check = false;
     limit = 1_000_000_000 }
 
@@ -38,7 +36,6 @@ let with_lib lib t = { t with lib }
 let with_target machine lib t = { t with machine; lib }
 let with_mesh pr pc t = { t with mesh = (pr, pc) }
 let with_topology topology t = { t with topology }
-let with_fuse fuse t = { t with fuse }
 let with_check check t = { t with check }
 let with_limit limit t = { t with limit }
 
@@ -127,11 +124,12 @@ let key t =
   add_i b pr;
   add_i b pc;
   add_s b (Machine.Topology.name t.topology);
-  (* constant bits where the retired row_path, cse and wire knobs sat:
-     keys stay byte-identical to those of earlier versions, so digests
-     recorded over keys (perfbench's sim_digest) stay comparable *)
+  (* constant bits where the retired row_path, fuse, cse and wire knobs
+     sat: keys stay byte-identical to those of earlier versions, so
+     digests recorded over keys (perfbench's sim_digest) stay
+     comparable *)
   add_b b true;
-  add_b b t.fuse;
+  add_b b true;
   add_b b true;
   add_b b true;
   add_b b t.check;
@@ -141,7 +139,7 @@ let equal a b = String.equal (key a) (key b)
 
 let pp ppf t =
   let pr, pc = t.mesh in
-  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s%s}"
+  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s}"
     (String.sub (program_digest t) 0 8)
     (Opt.Config.name t.config)
     t.machine.Machine.Params.name
@@ -150,7 +148,6 @@ let pp ppf t =
     (match t.topology with
     | Machine.Topology.Ideal -> ""
     | topo -> ", " ^ Machine.Topology.name topo)
-    (if t.fuse then "" else ", no-fuse")
     (if t.check then ", check" else "")
 
 (* ------------------------------------------------------------------ *)
@@ -178,8 +175,8 @@ let build ?prog (spec : t) : artifact =
   let flat = Ir.Flat.flatten ir in
   let pr, pc = spec.mesh in
   let plans =
-    Sim.Engine.plan ~fuse:spec.fuse ~topology:spec.topology
-      ~machine:spec.machine ~lib:spec.lib ~pr ~pc flat
+    Sim.Engine.plan ~topology:spec.topology ~machine:spec.machine
+      ~lib:spec.lib ~pr ~pc flat
   in
   { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
 

@@ -23,10 +23,6 @@ type t = {
           engine; [Mesh]/[Torus] route every message dimension-order
           over the [pr x pc] grid with per-link occupancy, and steer
           the collective cost search. *)
-  fuse : bool;
-      (** let adjacent fusable kernel statements share one region
-          evaluation and row traversal — simulated times and statistics
-          are unchanged by fusion (default true) *)
   check : bool;
       (** run {!Analysis.Schedcheck} over the emitted schedule at
           compile time and fail on any diagnostic (default false) *)
@@ -56,7 +52,6 @@ val with_target : Machine.Params.t -> Machine.Library.t -> t -> t
 
 val with_mesh : int -> int -> t -> t
 val with_topology : Machine.Topology.t -> t -> t
-val with_fuse : bool -> t -> t
 val with_check : bool -> t -> t
 val with_limit : int -> t -> t
 
@@ -67,9 +62,9 @@ val program_digest : t -> string
 
 (** Content address of the spec: a digest over every field that can
     change a compiled artifact — program inputs, config, machine
-    parameters, library kind and costs, mesh, topology, [fuse],
-    [check]. [limit] is excluded: it only parameterizes the mutable
-    engine, never the plans (property-tested).
+    parameters, library kind and costs, mesh, topology, [check].
+    [limit] is excluded: it only parameterizes the mutable engine,
+    never the plans (property-tested).
     Serialization is canonical: floats are rendered exactly (hex
     notation), defines are sorted. *)
 val key : t -> string

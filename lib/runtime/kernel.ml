@@ -1343,132 +1343,6 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
   | RowRed (slot, src) -> fold_rows env ~slot op src region
   | PointRed f -> run_reduce ~region op (fun p -> f env p)
 
-(* ------------------------------------------------------------------ *)
-(* Statement fusion                                                    *)
-(*                                                                     *)
-(* Adjacent array statements over the same region can share one bounds *)
-(* computation and one row traversal: the fused loop visits each row   *)
-(* once and evaluates every statement's rhs for it while the row's     *)
-(* indices (and often its operand cache lines) are hot. Fusing         *)
-(* interleaves rows of different statements, so it is only legal when  *)
-(* that interleaving is unobservable — see {!can_join}.                *)
-(* ------------------------------------------------------------------ *)
-
-(** Whether statement [s] may join a fused group already containing
-    [group] (statically, before row compilation). The conditions:
-    - [s] must not need whole-region buffering ([WFullBuffer] evaluates
-      everything before writing anything, which cannot interleave);
-    - same iteration-region expression (syntactic equality) as the
-      group, so one bounds computation serves every statement;
-    - identical declared regions for all lhs arrays, so each processor
-      clips every statement to the same owned rectangle;
-    - distinct left-hand sides;
-    - no cross-statement flow: for fused statements [i <> j], [lhs_i]
-      must not be read by [rhs_j]. Row interleaving would otherwise
-      observe a partially updated array ([i < j]) or miss updates that
-      per-statement order had not applied yet ([i > j]). *)
-let can_join ~(arrays : int -> Zpl.Prog.array_info)
-    (group : Zpl.Prog.assign_a list) (s : Zpl.Prog.assign_a) : bool =
-  (not (needs_buffer s))
-  && (match group with
-     | [] -> true
-     | g0 :: _ ->
-         Zpl.Prog.equal_dregion s.region g0.region
-         && Zpl.Region.equal (arrays s.lhs).a_region (arrays g0.lhs).a_region)
-  && List.for_all
-       (fun (g : Zpl.Prog.assign_a) ->
-         g.lhs <> s.lhs
-         && (not (List.mem g.lhs (Zpl.Prog.arrays_read s.rhs)))
-         && not (List.mem s.lhs (Zpl.Prog.arrays_read g.rhs)))
-       group
-
-type fstmt = { f_lhs : int; f_mode : write_mode; f_src : rowsrc }
-(** One fused member: lhs array id (resolved through the env at
-    execution), write mode and row source. *)
-
-type fplan = {
-  f_stmts : fstmt array;
-  f_scratch : int;
-      (** env buffer slot shared by [WRowBuffer] members; -1 when every
-          member writes direct *)
-}
-
-(** Row-compile a legal group (per {!can_join}) of at least two
-    statements into a fused plan; [None] if any statement falls back to
-    the per-point path, in which case the caller executes the group
-    statement by statement. *)
-let plan_fused (rc : rowctx) (stmts : Zpl.Prog.assign_a array) : fplan option
-    =
-  let n = Array.length stmts in
-  if n < 2 then None
-  else begin
-    let rank = Array.length stmts.(0).Zpl.Prog.region in
-    let rec build i acc =
-      if i = n then begin
-        let stmts = Array.of_list (List.rev acc) in
-        let scratch =
-          if Array.exists (fun fs -> fs.f_mode = WRowBuffer) stmts then
-            ws_buf rc.rws
-          else -1
-        in
-        Some { f_stmts = stmts; f_scratch = scratch }
-      end
-      else
-        match compile_row rc ~rank stmts.(i).Zpl.Prog.rhs with
-        | None -> None
-        | Some src ->
-            let mode = write_mode stmts.(i) in
-            if mode = WFullBuffer then None
-            else
-              build (i + 1)
-                ({ f_lhs = stmts.(i).Zpl.Prog.lhs; f_mode = mode;
-                   f_src = src }
-                :: acc)
-    in
-    build 0 []
-  end
-
-(** Execute a fused plan: one traversal of [region], all statements per
-    row, in statement order. Returns the total number of cells updated
-    (region size times the number of statements). *)
-let exec_fused (fp : fplan) ~(env : env) ~(region : Zpl.Region.t) : int =
-  if Zpl.Region.is_empty region then 0
-  else begin
-    let stmts = fp.f_stmts in
-    let n = Array.length stmts in
-    for i = 0 to n - 1 do
-      let lhs = env.e_stores.(stmts.(i).f_lhs) in
-      if not (Zpl.Region.subset region (Store.alloc lhs)) then
-        Fmt.invalid_arg
-          "fused kernel: write region %s outside allocated %s of %s"
-          (Zpl.Region.to_string region)
-          (Zpl.Region.to_string (Store.alloc lhs))
-          (Store.info lhs).a_name
-    done;
-    let stores = env.e_stores in
-    let len = row_len region in
-    let p0 = row_cursor env region in
-    for _ = 1 to Zpl.Region.rows region do
-      (* per-statement dispatch inline: the match is on an immediate
-         tag and branch-predicts perfectly, and building hoisted
-         closures here would allocate per execution *)
-      for i = 0 to n - 1 do
-        let fs = Array.unsafe_get stmts i in
-        let lhs = Array.unsafe_get stores fs.f_lhs in
-        let data = Store.unsafe_data lhs in
-        match fs.f_mode with
-        | WDirect -> fill fs.f_src env p0 len data (Store.index lhs p0)
-        | WRowBuffer ->
-            let b = ensure env.e_bufs.(fp.f_scratch) len in
-            fill fs.f_src env p0 len b 0;
-            buf_blit b 0 data (Store.index lhs p0) len
-        | WFullBuffer -> assert false
-      done;
-      Zpl.Region.next_row region p0
-    done;
-    Zpl.Region.size region * n
-  end
-
 (** Runtime validation that every shifted read of [e] over [region] stays
     inside the referenced array's allocated storage — the dynamic
     counterpart of the checker's static shift-bounds test, needed for

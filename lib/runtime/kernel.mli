@@ -9,9 +9,8 @@
     loops over contiguous float64 Bigarray rows; every row kernel
     performs the exact same floating-point operation sequence per cell
     as the per-point path, so the two are bit-identical (property-tested
-    in [test/test_props.ml]). Adjacent compatible statements can
-    additionally {e fuse} into a single row traversal — see
-    {!can_join} / {!plan_fused}.
+    in [test/test_props.ml]). Each array statement runs its own plan;
+    there is no statement fusion (DESIGN.md section 5 says why).
 
     {b The store-binding contract.} Compiled plans are store-agnostic:
     a plan may capture array ids, flat shifts (computed against the
@@ -128,37 +127,6 @@ val plan_reduce : ?row:bool -> rowctx -> Zpl.Prog.reduce_s -> rplan
 (** Local partial of a reduction plan over [region]: (partial, cells). *)
 val exec_rplan :
   rplan -> env:env -> region:Zpl.Region.t -> Zpl.Ast.redop -> float * int
-
-(* --- statement fusion --- *)
-
-(** Whether statement [s] may join a fused group already containing
-    [group] (statically, before row compilation). The conditions:
-    [s] needs no whole-region buffering; same iteration-region
-    expression and same declared lhs region as the group (one bounds
-    computation and one ownership rectangle serve all); distinct
-    left-hand sides; and no fused statement reads another's lhs, in
-    either direction, so interleaving rows of different statements is
-    unobservable. *)
-val can_join :
-  arrays:(int -> Zpl.Prog.array_info) ->
-  Zpl.Prog.assign_a list ->
-  Zpl.Prog.assign_a ->
-  bool
-
-(** A group of row-compiled statements sharing one region traversal. *)
-type fplan
-
-(** Row-compile a legal group (per {!can_join}) of at least two
-    statements into a fused plan; [None] if any statement falls back to
-    the per-point path, in which case the caller executes the group
-    statement by statement. *)
-val plan_fused : rowctx -> Zpl.Prog.assign_a array -> fplan option
-
-(** Execute a fused plan: one traversal of [region], all statements per
-    row, in statement order, with this executor's [env] (which supplies
-    the lhs stores by array id). Returns the total number of cells
-    updated (region size times the number of statements). *)
-val exec_fused : fplan -> env:env -> region:Zpl.Region.t -> int
 
 (* --- dynamic bounds checking --- *)
 

@@ -11,11 +11,6 @@
     as a global-clock event loop. Ties never matter, so the simulation is
     fully deterministic.
 
-    Adjacent kernel statements that pass {!Runtime.Kernel.can_join} are
-    fused at {!plan} time: one region evaluation and one row traversal
-    execute the whole group, while time and statistics are still charged
-    statement by statement — reports do not change.
-
     {b Kernel dispatch} clips a statement's region in ints: its bounds
     are evaluated against the scalar environment and intersected with
     the lhs store's owned block ({!Runtime.Values.clip_dregion}), which
@@ -125,11 +120,6 @@ type ckern =
 
 type kprog = {
   k_ops : ckern array;  (** per op index *)
-  k_fused : Runtime.Kernel.fplan option array;
-      (** per op index: the fused plan of the group headed there (only
-          at heads where [p_fuse_len] >= 2); [None] at a head means some
-          member fell back to the per-point path and the group runs
-          unfused through [k_ops] *)
   k_spec : Runtime.Kernel.envspec;
       (** workspace requirements of this rank's plans; {!of_plans}
           mints one {!Runtime.Kernel.env} per engine from it *)
@@ -158,8 +148,6 @@ type plans = {
   p_wblue : wbpair array array;  (** [transfer id].(proc) *)
   p_colls : Ir.Coll.desc option array;  (** per transfer: collective tag *)
   p_cblue : cblue array array;  (** collective rounds: [transfer id].(proc) *)
-  p_fuse_len : int array;
-      (** per op index: length of the fused group starting there, or 0 *)
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : kprog array;
@@ -304,8 +292,6 @@ type t = {
   stats : Stats.t;
   limit : int;
   kern : kprog array;  (** per rank: shared compiled kernel programs *)
-  fuse_len : int array;
-      (** per op index: length of the fused group starting there, or 0 *)
   refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once so
           the per-execution bounds check is allocation-free *)
@@ -385,40 +371,7 @@ let wkey (t : t) ~src ~xfer kind_bit = (((src * t.nx) + xfer) * 2) + kind_bit
 let kb_data = 0
 let kb_token = 1
 
-(** Greedy partition of maximal adjacent-[FKernel] runs into fused
-    groups: a statement joins the current group while
-    {!Runtime.Kernel.can_join} holds against every member. Entry [i] of
-    the result is the length (>= 2) of the group headed at op [i], 0
-    elsewhere. Jumps into the middle of a group are harmless — fusion
-    only triggers when control reaches the head. *)
-let fuse_groups (flat : Ir.Flat.t) : int array =
-  let ops = flat.Ir.Flat.ops in
-  let n = Array.length ops in
-  let lens = Array.make n 0 in
-  let arrays aid = flat.Ir.Flat.prog.Zpl.Prog.arrays.(aid) in
-  let i = ref 0 in
-  while !i < n do
-    match ops.(!i) with
-    | Ir.Flat.FKernel _ ->
-        let start = !i in
-        let group = ref [] in
-        let stop = ref false in
-        while (not !stop) && !i < n do
-          match ops.(!i) with
-          | Ir.Flat.FKernel a
-            when Runtime.Kernel.can_join ~arrays (List.rev !group) a ->
-              group := a :: !group;
-              incr i
-          | _ -> stop := true
-        done;
-        let glen = !i - start in
-        if glen >= 2 then lens.(start) <- glen;
-        if glen = 0 then incr i
-    | _ -> incr i
-  done;
-  lens
-
-let plan ?(row_path = true) ?(fuse = true)
+let plan ?(row_path = true)
     ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     ~(lib : Machine.Library.t) ~pr ~pc (flat : Ir.Flat.t) : plans =
   let prog = flat.Ir.Flat.prog in
@@ -516,15 +469,9 @@ let plan ?(row_path = true) ?(fuse = true)
       flat.Ir.Flat.transfers
   in
   let ops = flat.Ir.Flat.ops in
-  let nops = Array.length ops in
-  let fuse_len =
-    if fuse && row_path then fuse_groups flat else Array.make nops 0
-  in
   (* Store-agnostic kernel compilation, once per rank at plan time.
      Engines minted from this plan set never compile kernels — they
-     bind stores through a per-engine env. Individual plans are built
-     even for fused-group members: they back the unfused fallback when
-     a group's fused plan is [None], and mid-group jump targets. *)
+     bind stores through a per-engine env. *)
   let p_kern =
     Array.init nprocs (fun rank ->
         let ws = Runtime.Kernel.make_ws () in
@@ -546,20 +493,7 @@ let plan ?(row_path = true) ?(fuse = true)
               | _ -> KNone)
             ops
         in
-        let k_fused = Array.make nops None in
-        Array.iteri
-          (fun idx glen ->
-            if glen >= 2 then begin
-              let stmts =
-                Array.init glen (fun k ->
-                    match ops.(idx + k) with
-                    | Ir.Flat.FKernel a -> a
-                    | _ -> assert false)
-              in
-              k_fused.(idx) <- Runtime.Kernel.plan_fused rc stmts
-            end)
-          fuse_len;
-        { k_ops; k_fused; k_spec = Runtime.Kernel.ws_spec ws })
+        { k_ops; k_spec = Runtime.Kernel.ws_spec ws })
   in
   { p_flat = flat;
     p_machine = machine;
@@ -575,7 +509,6 @@ let plan ?(row_path = true) ?(fuse = true)
     p_wblue;
     p_colls = colls;
     p_cblue;
-    p_fuse_len = fuse_len;
     p_refchecks =
       Array.map
         (function
@@ -716,7 +649,6 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
       stats = Stats.make nprocs;
       limit;
       kern = sp.p_kern;
-      fuse_len = sp.p_fuse_len;
       refchecks = sp.p_refchecks }
   in
   (* materialize exactly the mailbox slots some plan delivers to: data
@@ -848,19 +780,8 @@ let reduce_plan (t : t) (p : proc) idx =
   | KReduce plan -> plan
   | KNone | KAssign _ -> assert false
 
-let fused_plan (t : t) (p : proc) idx = t.kern.(p.rank).k_fused.(idx)
-
-(** Charge the cost of one executed statement: the same formula — and
-    the same float-accumulation order — whether it ran alone or fused. *)
-let charge_kernel (t : t) (p : proc) ~cells ~flops =
-  let dt =
-    t.machine.Machine.Params.kernel_overhead
-    +. (float_of_int (cells * flops) *. t.machine.Machine.Params.sec_per_flop)
-  in
-  p.time.fv <- p.time.fv +. dt;
-  p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
-  p.stats.Stats.cells <- p.stats.Stats.cells + cells
-
+(** Execute one array statement and charge its cost: the kernel
+    overhead plus its flops over the clipped region's cells. *)
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
   let store = p.stores.(a.lhs) in
   let region =
@@ -876,43 +797,13 @@ let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
         ~region
     end
   in
-  charge_kernel t p ~cells ~flops:a.flops
-
-let fused_stmt (t : t) idx k =
-  match t.flat.Ir.Flat.ops.(idx + k) with
-  | Ir.Flat.FKernel a -> a
-  | _ -> assert false
-
-(** Execute the fused group of [glen] kernels headed at [idx]: one
-    region clip and one row traversal, but per-statement cost and
-    statistics identical to unfused execution. *)
-let exec_fused_group (t : t) (p : proc) idx glen =
-  match fused_plan t p idx with
-  | None ->
-      (* some member fell back to the per-point path: run unfused *)
-      for k = 0 to glen - 1 do
-        exec_kernel t p (idx + k) (fused_stmt t idx k)
-      done
-  | Some fp ->
-      let a0 = fused_stmt t idx 0 in
-      let region =
-        Runtime.Values.clip_dregion p.env a0.region
-          ~within:(Runtime.Store.owned p.stores.(a0.lhs))
-      in
-      let cells =
-        if Zpl.Region.is_empty region then 0
-        else begin
-          for k = 0 to glen - 1 do
-            Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
-              t.refchecks.(idx + k)
-          done;
-          ignore (Runtime.Kernel.exec_fused fp ~env:p.kenv ~region);
-          Zpl.Region.size region
-        end
-      in
-      for k = 0 to glen - 1 do
-        charge_kernel t p ~cells ~flops:(fused_stmt t idx k).flops
-      done
+  let dt =
+    t.machine.Machine.Params.kernel_overhead
+    +. (float_of_int (cells * a.flops) *. t.machine.Machine.Params.sec_per_flop)
+  in
+  p.time.fv <- p.time.fv +. dt;
+  p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
+  p.stats.Stats.cells <- p.stats.Stats.cells + cells
 
 (* --- communication calls --- *)
 
@@ -1414,72 +1305,61 @@ let exec_coll_fin (t : t) (p : proc) (w : Ir.Instr.coll_work) =
 
 (* --- main dispatch --- *)
 
-(** Count [k] executed instructions against [p]'s budget. The limit is
+(** Count one executed instruction against [p]'s budget. The limit is
     per processor, so the check involves no shared state. *)
-let count_instrs (t : t) (p : proc) k =
-  p.instrs <- p.instrs + k;
+let count_instr (t : t) (p : proc) =
+  p.instrs <- p.instrs + 1;
   if p.instrs > t.limit then raise (Instruction_limit t.limit)
 
 (** Record one completed execution of op [idx] — same completion-only
-    discipline as {!count_instrs}, but per op index. *)
+    discipline as {!count_instr}, but per op index. *)
 let count_op (p : proc) idx = p.ops_run.(idx) <- p.ops_run.(idx) + 1
 
 let exec_one (t : t) (p : proc) : step =
   match t.flat.Ir.Flat.ops.(p.pc) with
   | Ir.Flat.FHalt ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       p.halted <- true;
       p.stats.Stats.times.Stats.finish <- p.time.fv;
       Halted
   | Ir.Flat.FKernel a ->
-      let glen = t.fuse_len.(p.pc) in
-      if glen >= 2 then begin
-        count_instrs t p glen;
-        for k = 0 to glen - 1 do
-          count_op p (p.pc + k)
-        done;
-        exec_fused_group t p p.pc glen;
-        p.pc <- p.pc + glen
-      end
-      else begin
-        count_instrs t p 1;
-        count_op p p.pc;
-        exec_kernel t p p.pc a;
-        p.pc <- p.pc + 1
-      end;
+      count_instr t p;
+      count_op p p.pc;
+      exec_kernel t p p.pc a;
+      p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FScalar { lhs; rhs } ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       p.env.(lhs) <- Runtime.Values.eval_env p.env rhs;
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
       p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FJump target ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       p.pc <- target;
       Continue
   | Ir.Flat.FJumpIfNot (cond, target) ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
       if Runtime.Values.eval_bool p.env cond then p.pc <- p.pc + 1
       else p.pc <- target;
       Continue
   | Ir.Flat.FReduce r ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       exec_reduce t p p.pc r
   | Ir.Flat.FCollPart w ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       exec_coll_part t p p.pc w;
       p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FCollFin w ->
-      count_instrs t p 1;
+      count_instr t p;
       count_op p p.pc;
       exec_coll_fin t p w;
       p.pc <- p.pc + 1;
@@ -1492,7 +1372,7 @@ let exec_one (t : t) (p : proc) : step =
              partners ran ahead — counting attempts would break
              [op_counts] as a per-op activation count, the join key
              Commvol's static predictions are validated against *)
-          count_instrs t p 1;
+          count_instr t p;
           count_op p p.pc;
           p.pc <- p.pc + 1;
           Continue
@@ -1621,8 +1501,6 @@ let pool_counts (t : t) : int * int =
            wp.w_send))
     t.wplans;
   (!fresh, !reused)
-let fused_group_count (t : t) =
-  Array.fold_left (fun n l -> if l >= 2 then n + 1 else n) 0 t.fuse_len
 
 (** Completed executions per flat op index after a run (processor 0's
     counters; control flow is replicated, so every processor's counts

@@ -25,8 +25,8 @@ exception Instruction_limit of int
 
 (** The immutable, shareable half of an engine: the compiled comm
     schedule bound to a layout, the wire blit plans, the collective role
-    tables, the fused-group partition, the reference-check tables, and
-    the per-rank store-agnostic kernel programs (row/fused plans
+    tables, the reference-check tables, and the per-rank
+    store-agnostic kernel programs (one row plan per statement,
     compiled against shape-only stores — see the store-binding contract
     in [Runtime.Kernel]). Engines minted from one [plans] value by
     {!of_plans} share all of it physically ([==]); only per-engine
@@ -37,17 +37,16 @@ type plans
 
 (** [plan ~machine ~lib ~pr ~pc flat] compiles every artifact of an
     engine that does not depend on run-time state, for a [pr x pc]
-    processor mesh. The knobs mirror the fields of [Run.Spec.t], where
-    each is documented; [row_path] and [fuse] default to true.
-    [row_path:false] forces the per-point kernels everywhere — the
-    reference the row and fused kernels are compared against.
+    processor mesh. [topology] mirrors the field of [Run.Spec.t], where
+    it is documented. [row_path] defaults to true; [row_path:false]
+    forces the per-point kernels everywhere — the reference the row
+    kernels are compared against.
 
     Raises [Invalid_argument] if a stencil shift exceeds the smallest
     block extent of the mesh, or if a synthesized collective round was
     compiled for a different mesh. *)
 val plan :
   ?row_path:bool ->
-  ?fuse:bool ->
   ?topology:Machine.Topology.t ->
   machine:Machine.Params.t ->
   lib:Machine.Library.t ->
@@ -112,10 +111,6 @@ val link_occupancy : t -> float array
     diagnostic — it depends on how far senders ran ahead — and is not
     part of the deterministic {!Stats.t}. *)
 val pool_counts : t -> int * int
-
-(** Number of fused kernel groups the op stream was partitioned into
-    (0 when fusion is off) — exposed for tests and tooling. *)
-val fused_group_count : t -> int
 
 (** Completed executions per flat op index after a run (identical across
     processors — control flow is replicated); communication calls count

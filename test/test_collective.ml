@@ -4,7 +4,7 @@
     collective on every benchmark (bit-identical for max/min and for the
     rank-ordered ring/dissemination algorithms, within tolerance for
     reassociated sums), (c) stay bit-identical whether the drain runs
-    kernels fused or unfused, and (d) have a cost search that provably shifts
+    row or per-point kernels, and (d) have a cost search that provably shifts
     its pick across machine models and mesh sizes. Mutation tests prove
     the checkers actually catch a mis-synthesized schedule. *)
 
@@ -242,7 +242,7 @@ let agreement_case (lib : Machine.Library.t) (b : Programs.Bench_def.t) =
         algs)
 
 (* ------------------------------------------------------------------ *)
-(* Drain differentials: fused vs unfused kernels around the rounds     *)
+(* Drain differentials: row vs per-point kernels around the rounds     *)
 (* ------------------------------------------------------------------ *)
 
 let drain_case (b : Programs.Bench_def.t) =
@@ -263,7 +263,12 @@ let drain_case (b : Programs.Bench_def.t) =
                 (Sim.Engine.final_env base.Sim.Engine.engine)
                 (Sim.Engine.final_env res.Sim.Engine.engine);
               check_arrays what ~tolerance:0.0 c.prog base res)
-            [ ("unfused", simulate ~mesh ~fuse:false c) ])
+            [ ( "per-point",
+                Sim.Engine.run
+                  (Sim.Engine.of_plans
+                     (Sim.Engine.plan ~row_path:false ~machine:t3d
+                        ~lib:Machine.T3d.pvm ~pr:(fst mesh) ~pc:(snd mesh)
+                        c.flat)) ) ])
         algs)
 
 (* ------------------------------------------------------------------ *)

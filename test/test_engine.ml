@@ -26,11 +26,11 @@ end;
 |}
 
 let make_engine ?(config = Opt.Config.pl_cum) ?(lib = Machine.T3d.pvm)
-    ?(pr = 2) ?(pc = 2) ?limit ?fuse src =
+    ?(pr = 2) ?(pc = 2) ?limit src =
   let prog = Zpl.Check.compile_string src in
   let ir = Opt.Passes.compile config prog in
   Sim.Engine.of_plans ?limit
-    (Sim.Engine.plan ?fuse ~machine:Machine.T3d.machine ~lib ~pr ~pc
+    (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc
        (Ir.Flat.flatten ir))
 
 let test_counts_and_time () =
@@ -108,36 +108,6 @@ let test_instruction_limit () =
     (match Sim.Engine.run (make_engine ~limit:10 stencil_src) with
     | _ -> false
     | exception Sim.Engine.Instruction_limit _ -> true)
-
-let test_fusion_engages_on_tomcatv () =
-  (* TOMCATV's metric-terms block (XX/YX/XY/YY, then AA/BB/CC) is the
-     fusion showcase: groups must actually form, and the fused run must
-     match the unfused one exactly — makespan, counters and data *)
-  let p = Programs.Suite.compile ~scale:`Test Programs.Suite.tomcatv in
-  let flat = Ir.Flat.flatten (Opt.Passes.compile Opt.Config.pl_cum p) in
-  let mk ~fuse =
-    Sim.Engine.of_plans
-      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-         ~pr:2 ~pc:2 ~fuse flat)
-  in
-  let fused_eng = mk ~fuse:true in
-  Alcotest.(check bool) "groups formed" true
-    (Sim.Engine.fused_group_count fused_eng > 0);
-  Alcotest.(check int) "fusion off means no groups" 0
-    (Sim.Engine.fused_group_count (mk ~fuse:false));
-  let fused = Sim.Engine.run fused_eng in
-  let plain = Sim.Engine.run (mk ~fuse:false) in
-  Alcotest.(check (float 0.)) "same makespan" plain.Sim.Engine.time
-    fused.Sim.Engine.time;
-  Alcotest.(check int) "same instructions"
-    plain.Sim.Engine.stats.Sim.Stats.instructions
-    fused.Sim.Engine.stats.Sim.Stats.instructions;
-  Array.iteri
-    (fun aid _ ->
-      let a = Runtime.Store.to_array (Sim.Engine.gather plain.Sim.Engine.engine aid) in
-      let b = Runtime.Store.to_array (Sim.Engine.gather fused.Sim.Engine.engine aid) in
-      if a <> b then Alcotest.failf "array %d differs under fusion" aid)
-    p.Zpl.Prog.arrays
 
 let test_wavefront_serializes () =
   (* a row-sweep over a distributed dimension must take longer than the
@@ -221,9 +191,7 @@ let () =
         [ Alcotest.test_case "counts & time" `Quick test_counts_and_time;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "gather == oracle" `Quick test_gather_matches_oracle;
-          Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree;
-          Alcotest.test_case "fusion engages (tomcatv)" `Quick
-            test_fusion_engages_on_tomcatv ] );
+          Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree ] );
       ( "models",
         [ Alcotest.test_case "library ordering" `Quick test_library_overheads_ordered;
           Alcotest.test_case "optimization helps" `Quick test_baseline_slower_than_optimized;

@@ -66,7 +66,6 @@ let flips : (string * (Run.Spec.t -> Run.Spec.t)) list =
     ("lib", Run.Spec.with_lib Machine.T3d.shmem);
     ("mesh", Run.Spec.with_mesh 1 2);
     ("topology", Run.Spec.with_topology Machine.Topology.Mesh);
-    ("fuse", Run.Spec.with_fuse false);
     ("check", Run.Spec.with_check true) ]
 
 let test_single_flip_misses () =
@@ -83,15 +82,20 @@ let test_single_flip_misses () =
   let cache = Run.Cache.create () in
   ignore (Run.Cache.find cache b);
   List.iter
-    (fun (name, flip) ->
-      if name = "source" || name = "defines" then ()
-        (* same program family only: don't compile a 9x9 variant here *)
-      else
-        let _, hit = Run.Cache.find cache (flip b) in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s variant misses" name)
-          false hit)
-    [ List.nth flips 2; List.nth flips 7; List.nth flips 9 ]
+    (fun name ->
+      let _, hit = Run.Cache.find cache (List.assoc name flips b) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s variant misses" name)
+        false hit)
+    [ "config"; "mesh"; "check" ]
+
+(* The key of a fixed default spec, pinned as hex. Retired knobs leave a
+   constant bit where they sat in the serialization, so removing one
+   must not move any key (or the digests recorded over keys). *)
+let test_key_pinned () =
+  Alcotest.(check string) "default spec key"
+    "9f92f30446bd215792f28dffa892303f"
+    (Run.Spec.key (Run.Spec.default "constant n = 8;"))
 
 let test_runtime_knobs_excluded () =
   let b = base () in
@@ -109,23 +113,19 @@ let test_defines_canonical () =
   Alcotest.(check string) "same program digest" (Run.Spec.program_digest s1)
     (Run.Spec.program_digest s2)
 
-(* qcheck: a random subset of knob flips keys equal iff the subset is
-   empty, while limit perturbations never affect the key *)
+(* qcheck: flipping the check knob changes the key, while limit
+   perturbations never do *)
 let prop_key_iff_knobs =
   let gen =
     QCheck.make
-      ~print:(fun (f, c, l) ->
-        Printf.sprintf "fuse=%b check=%b limit=%d" f c l)
-      QCheck.Gen.(tup3 bool bool (int_range 1 1000))
+      ~print:(fun (c, l) -> Printf.sprintf "check=%b limit=%d" c l)
+      QCheck.Gen.(pair bool (int_range 1 1000))
   in
   QCheck.Test.make ~count:100 ~name:"key ignores limit, sees knobs" gen
-    (fun (fuse, check, limit) ->
+    (fun (check, limit) ->
       let b = base () in
-      let s =
-        Run.Spec.(
-          b |> with_fuse fuse |> with_check check |> with_limit limit)
-      in
-      Bool.equal (Run.Spec.equal b s) (fuse && not check))
+      let s = Run.Spec.(b |> with_check check |> with_limit limit) in
+      Bool.equal (Run.Spec.equal b s) (not check))
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs cold: bit-identical results across the six paper rows     *)
@@ -457,6 +457,8 @@ let () =
             test_single_flip_misses;
           Alcotest.test_case "limit excluded from key" `Quick
             test_runtime_knobs_excluded;
+          Alcotest.test_case "key pinned for a default spec" `Quick
+            test_key_pinned;
           Alcotest.test_case "defines order canonical" `Quick
             test_defines_canonical;
           QCheck_alcotest.to_alcotest prop_key_iff_knobs;
