@@ -3,9 +3,8 @@
 
     {v
     dune exec bench/main.exe             full report (bench scale)
-    dune exec bench/main.exe -- --quick  small problem sizes (CI-fast);
-                                         also runs the kernel benchmark
-                                         and writes BENCH_kernel.json
+    dune exec bench/main.exe -- --quick  small problem sizes (CI-fast),
+                                         followed by the kernel benchmark
     dune exec bench/main.exe -- --kernel per-point vs row kernel
                                          throughput + serial vs parallel
                                          grid wall time; writes
@@ -30,12 +29,10 @@
                                          argmin per topology, pinned
                                          collective picks; writes
                                          BENCH_contention.json
-    dune exec bench/main.exe -- --bechamel
-                                         Bechamel micro-benchmarks: one
-                                         Test.make per exhibit, measuring
-                                         the wall cost of regenerating it
-                                         at reduced scale
-    v} *)
+    v}
+
+    Artifacts are written at full scale only: [--quick] runs are smoke
+    tests and gate checks, and never overwrite a BENCH_*.json. *)
 
 open Commopt
 
@@ -83,66 +80,7 @@ let print_report ~scale () =
     (Report.Figures.paragon_appendix pgrid)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per paper exhibit           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let quick_grid () = Report.Experiment.grid ~scale:`Test () in
-  let quick_fig6 () =
-    Report.Ping.figure6 ~sizes:[ 8; 512 ] ~iters:5 ()
-  in
-  let grid = quick_grid () in
-  let curves = quick_fig6 () in
-  let exhibit name f = Test.make ~name (Staged.stage f) in
-  Test.make_grouped ~name:"paper-exhibits" ~fmt:"%s %s"
-    [ exhibit "figure-3-machines" (fun () -> Report.Figures.machine_table ());
-      exhibit "figure-5-bindings" (fun () -> Report.Figures.bindings_table ());
-      exhibit "figure-7-benchmarks" (fun () -> Report.Figures.benchmarks_table ());
-      exhibit "figure-6-overhead" (fun () -> quick_fig6 ());
-      exhibit "figure-6-render" (fun () -> Report.Figures.fig6 curves);
-      exhibit "figure-8-counts" (fun () -> quick_grid () |> Report.Figures.fig8);
-      exhibit "figure-10a-pvm" (fun () -> Report.Figures.fig10 ~part:`A grid);
-      exhibit "figure-10b-shmem" (fun () -> Report.Figures.fig10 ~part:`B grid);
-      exhibit "figure-11-heuristic-counts" (fun () -> Report.Figures.fig11 grid);
-      exhibit "figure-12-heuristic-times" (fun () -> Report.Figures.fig12 grid);
-      exhibit "table-1-tomcatv" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 0));
-      exhibit "table-2-swm" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 1));
-      exhibit "table-3-simple" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 2));
-      exhibit "table-4-sp" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 3));
-      exhibit "extension-paragon" (fun () ->
-          Report.Experiment.paragon_grid ~scale:`Test ()
-          |> Report.Figures.paragon_appendix) ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "%-45s %15s\n" "exhibit" "wall per run";
-  Printf.printf "%s\n" (String.make 62 '-');
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols_result) ->
-         match Analyze.OLS.estimates ols_result with
-         | Some [ ns ] ->
-             let s = ns /. 1e9 in
-             Printf.printf "%-45s %12.3f ms\n" name (s *. 1e3)
-         | _ -> Printf.printf "%-45s %15s\n" name "n/a")
-
-(* ------------------------------------------------------------------ *)
-(* Kernel benchmark: row-compiled vs per-point execution paths          *)
+(* Measurement core: trial, rotation, drift, artifact and gate          *)
 (* ------------------------------------------------------------------ *)
 
 (* Monotonic trial timing: [Unix.gettimeofday] is wall-clock, so an NTP
@@ -156,20 +94,20 @@ let wall f =
   let t1 = Monotonic_clock.now () in
   (r, Int64.to_float (Int64.sub t1 t0) /. 1e9)
 
-(** Run [f] repeatedly until it has consumed at least [budget] wall
-    seconds; returns (runs, total wall time). *)
-let repeat_for ~budget f =
-  let rec go runs total =
-    if total >= budget && runs > 0 then (runs, total)
-    else
-      let _, dt = wall f in
-      go (runs + 1) (total +. dt)
+(** One trial of a compiled program on the T3D: plan (kernel and
+    wire-plan compilation included), mint and run an engine. When timed,
+    the runtime is charged for its own planning — amortized over the
+    program's iterations, exactly as a real run pays it. Returns the run
+    result and the minor words allocated by the run phase alone. *)
+let sim_trial ?row_path ~lib ~pr ~pc (c : Commopt.compiled) =
+  let engine =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ?row_path ~machine:Machine.T3d.machine ~lib ~pr ~pc
+         c.flat)
   in
-  go 0 0.0
-
-(* --------------------------------------------------------------- *)
-(* Trial-spread (drift) tracking and the shared --baseline gate      *)
-(* --------------------------------------------------------------- *)
+  let w0 = Gc.minor_words () in
+  let r = Sim.Engine.run engine in
+  (r, Gc.minor_words () -. w0)
 
 (** Largest relative spread, (max - min) / max, observed across the
     rotated trials of any measured series in this process. Interference
@@ -179,52 +117,60 @@ let repeat_for ~budget f =
     --baseline comparison should warn instead of failing the run. *)
 let max_drift = ref 0.0
 
-(** Fold one series' per-trial measurements into {!max_drift}. *)
-let note_spread (trials : float list) =
-  match List.filter (fun x -> x > 0.0) trials with
-  | [] | [ _ ] -> ()
-  | xs ->
-      let hi = List.fold_left Float.max neg_infinity xs in
-      let lo = List.fold_left Float.min infinity xs in
-      let d = (hi -. lo) /. hi in
-      if d > !max_drift then max_drift := d
-
 let drift_threshold = 0.10
+
+(** Best of three interleaved trials per series. A trial repeats one
+    series for at least [budget] wall seconds and scores it as
+    [work result] units per second, summed over its runs. Interference
+    on a shared box only ever subtracts throughput, so the max of
+    several short trials is the estimate closest to the series' real
+    capability — and interleaving the series decorrelates any slow phase
+    of the machine from one particular series. The starting series
+    rotates across trials: with a fixed order, whichever runs first after
+    a warm-up gap systematically measures low. Every trial's rate feeds
+    {!max_drift}. Returns each series' best rate and its last result. *)
+let rotated ~budget ~work (series : (unit -> 'r) array) =
+  (* One unmeasured run of each series first: the first run after a
+     compile pays cold caches and page faults, which would otherwise
+     land entirely on whichever series is measured first. *)
+  let last = Array.map (fun run -> run ()) series in
+  let n = Array.length series in
+  let best = Array.make n 0.0 and seen = Array.make n [] in
+  for trial = 0 to 2 do
+    for j = 0 to n - 1 do
+      let i = (j + trial) mod n in
+      let units = ref 0.0 and spent = ref 0.0 and runs = ref 0 in
+      while !runs = 0 || !spent < budget do
+        let r, dt = wall series.(i) in
+        last.(i) <- r;
+        units := !units +. work r;
+        spent := !spent +. dt;
+        incr runs
+      done;
+      let rate = !units /. !spent in
+      seen.(i) <- rate :: seen.(i);
+      best.(i) <- Float.max best.(i) rate
+    done
+  done;
+  Array.iter
+    (fun rates ->
+      match List.filter (fun x -> x > 0.0) rates with
+      | [] -> ()
+      | xs ->
+          let hi = List.fold_left Float.max 0.0 xs in
+          let lo = List.fold_left Float.min infinity xs in
+          max_drift := Float.max !max_drift ((hi -. lo) /. hi))
+    seen;
+  Array.mapi (fun i rate -> (rate, last.(i))) best
 
 (** Minimal reader for the flat [{"key": number, ...}] files this
     program writes: one pair per line, string values skipped. *)
 let baseline_numbers path : (string * float) list =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line -> (
-        let line = String.trim line in
-        if String.length line = 0 || line.[0] <> '"' then go acc
-        else
-          match String.index_from_opt line 1 '"' with
-          | None -> go acc
-          | Some j -> (
-              let key = String.sub line 1 (j - 1) in
-              match String.index_from_opt line j ':' with
-              | None -> go acc
-              | Some k ->
-                  let v =
-                    String.trim
-                      (String.sub line (k + 1) (String.length line - k - 1))
-                  in
-                  let v =
-                    if String.length v > 0 && v.[String.length v - 1] = ',' then
-                      String.sub v 0 (String.length v - 1)
-                    else v
-                  in
-                  (match float_of_string_opt v with
-                  | Some f -> go ((key, f) :: acc)
-                  | None -> go acc)))
-  in
-  go []
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         try Scanf.sscanf line " \"%[^\"]\" : %f" (fun k v -> Some (k, v))
+         with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
 
 (** Read the --baseline artifact before anything is measured, so an
     unreadable file fails at once instead of after the whole run. *)
@@ -237,26 +183,33 @@ let load_baseline = function
           Printf.eprintf "error: cannot read --baseline: %s\n" msg;
           exit 1)
 
-(** The shared --baseline verdict over one mode's [(key, value)] list.
-    Only throughput keys (ending in [_per_sec]) present in the baseline
-    are compared; deterministic model outputs, wall-clock grid times and
+(** A value of the flat BENCH_*.json artifacts: numbers for
+    measurements, strings for categorical results (chosen algorithms,
+    argmin labels). *)
+type jval = Num of float | Str of string
+
+let num key v = (key, Num v)
+
+(** The shared --baseline verdict over one mode's entries. Only
+    throughput keys (ending in [_per_sec]) present in the baseline are
+    compared; deterministic model outputs, wall-clock grid times and
     allocation counts are informational. A baseline that shares no such
     key with the mode is an error (exit 1), not a silent pass. A key
     below 0.95x its baseline value is a regression (exit 3) — unless
     the rotated trials disagreed among themselves by more than
     {!drift_threshold}, in which case the host's own noise dwarfs the
     gate and the regressions are downgraded to an advisory warning. *)
-let gate ~unit baseline numbers =
+let gate ~unit baseline entries =
   match baseline with
   | None -> ()
   | Some (file, base) -> (
       let compared =
         List.filter_map
-          (fun (key, now) ->
-            if not (Filename.check_suffix key "_per_sec") then None
-            else
-              Option.map (fun was -> (key, was, now)) (List.assoc_opt key base))
-          numbers
+          (function
+            | key, Num now when Filename.check_suffix key "_per_sec" ->
+                Option.map (fun was -> (key, was, now)) (List.assoc_opt key base)
+            | _ -> None)
+          entries
       in
       Printf.printf "Compared %d throughput keys against %s\n"
         (List.length compared) file;
@@ -283,120 +236,6 @@ let gate ~unit baseline numbers =
               (100. *. !max_drift)
               (100. *. drift_threshold)
           else exit 3)
-
-(** Cells/second of one benchmark's kernel loops on a 1x1-mesh engine —
-    the simulated program is pure kernel execution there (no
-    communication), so the measurement isolates the array-statement
-    execution path. [row_path] picks the strategy: row kernels (the
-    engine's default) or the interpreted per-point reference. *)
-let kernel_trial ~row_path ~budget (c : Commopt.compiled) =
-  let cells = ref 0 in
-  let runs, total =
-    repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~row_path ~machine:Machine.T3d.machine
-               ~lib:Machine.T3d.shmem ~pr:1 ~pc:1 c.flat)
-        in
-        let result = Sim.Engine.run engine in
-        cells :=
-          Array.fold_left
-            (fun n (pp : Sim.Stats.per_proc) -> n + pp.Sim.Stats.cells)
-            0 result.Sim.Engine.stats.Sim.Stats.procs)
-  in
-  (float_of_int (!cells * runs) /. total, !cells)
-
-type path_cps = {
-  pc_cells : int;  (** cells per run *)
-  pc_point : float;  (** cells/sec, per-point path *)
-  pc_row : float;  (** cells/sec, row path *)
-}
-
-(** Best of three interleaved trials per path. Interference on a shared
-    box only ever subtracts throughput, so the max of several short
-    trials is the estimate closest to the path's real capability — and
-    interleaving the paths decorrelates any slow phase of the machine
-    from one particular path. The starting path rotates across trials:
-    with a fixed order, whichever path runs first after a warm-up gap
-    systematically measures low, which read as a phantom ~4% regression
-    before the rotation. *)
-let bench_paths ~defines source =
-  let c = compile ~config:Opt.Config.pl_cum ~defines source in
-  (* [row_path] of each path: the row kernels, then the per-point one *)
-  let paths = [| true; false |] in
-  let np = Array.length paths in
-  let best = Array.make np 0.0 in
-  let seen = Array.make np [] in
-  let cells = ref 0 in
-  for trial = 0 to 2 do
-    for j = 0 to np - 1 do
-      let i = (j + trial) mod np in
-      let cps, n = kernel_trial ~row_path:paths.(i) ~budget:0.25 c in
-      cells := n;
-      seen.(i) <- cps :: seen.(i);
-      if cps > best.(i) then best.(i) <- cps
-    done
-  done;
-  Array.iter note_spread seen;
-  { pc_cells = !cells; pc_point = best.(1); pc_row = best.(0) }
-
-type kernel_bench = {
-  kb_tomcatv : path_cps;
-  kb_swm : path_cps;
-  kb_grid_serial : float;  (** quick grid wall time, 1 domain *)
-  kb_grid_parallel : float;  (** quick grid wall time, domain pool *)
-  kb_domains : int;
-}
-
-let run_kernel_bench ~scale () =
-  let tomcatv_defines, swm_defines =
-    match scale with
-    | `Bench -> ([ ("n", 128.); ("iters", 10.) ], [ ("n", 64.); ("iters", 8.) ])
-    | `Test -> ([ ("n", 64.); ("iters", 3.) ], [ ("n", 32.); ("iters", 2.) ])
-  in
-  let tomcatv = bench_paths ~defines:tomcatv_defines Programs.Tomcatv.source in
-  let swm =
-    bench_paths ~defines:swm_defines
-      Programs.Suite.swm.Programs.Bench_def.source
-  in
-  let domains = Sim.Pool.default_domains () in
-  let _, grid_serial =
-    wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains:1 ())
-  in
-  let _, grid_parallel =
-    wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains ())
-  in
-  { kb_tomcatv = tomcatv;
-    kb_swm = swm;
-    kb_grid_serial = grid_serial;
-    kb_grid_parallel = grid_parallel;
-    kb_domains = domains }
-
-(** The JSON payload as key/value pairs; the first artifact's keys keep
-    their names, with [row_path_cells_per_sec] tracking the engine's
-    default configuration (row kernels) so old baselines stay
-    comparable. *)
-let kernel_numbers (kb : kernel_bench) : (string * float) list =
-  let t = kb.kb_tomcatv and s = kb.kb_swm in
-  [ ("cells_per_run", float_of_int t.pc_cells);
-    ("point_path_cells_per_sec", t.pc_point);
-    ("row_path_cells_per_sec", t.pc_row);
-    ("row_vs_point_speedup", t.pc_row /. t.pc_point);
-    ("tomcatv_point_cells_per_sec", t.pc_point);
-    ("tomcatv_row_cells_per_sec", t.pc_row);
-    ("swm_cells_per_run", float_of_int s.pc_cells);
-    ("swm_point_cells_per_sec", s.pc_point);
-    ("swm_row_cells_per_sec", s.pc_row);
-    ("grid_quick_serial_sec", kb.kb_grid_serial);
-    ("grid_quick_parallel_sec", kb.kb_grid_parallel);
-    ("grid_domains", float_of_int kb.kb_domains) ]
-
-(** A value of the flat BENCH_*.json artifacts: numbers for
-    measurements, strings for categorical results (chosen algorithms,
-    argmin labels). *)
-type jval = Num of float | Str of string
-
-let num_entries kvs = List.map (fun (k, v) -> (k, Num v)) kvs
 
 (** Write one flat BENCH artifact: the benchmark description, the build
     profile stamps, the GC stamp, then [entries] in order. Keys and
@@ -435,22 +274,99 @@ let write_bench_json path ~benchmark entries =
   Buffer.output_buffer oc b;
   close_out oc
 
-let write_kernel_json path (kb : kernel_bench) =
-  write_bench_json path
-    ~benchmark:
-      "kernel loops on a 1x1 mesh (T3D shmem): per-point vs row"
-    (num_entries (kernel_numbers kb))
+(** Close a mode: print its section under the build stamp, run [check]
+    (the mode's own hard verdicts, which must pass before an artifact is
+    written), write [artifact] at full scale, then apply the --baseline
+    gate to [entries]. *)
+let finish ?baseline ?(check = ignore) ~scale ~unit ~title ~artifact
+    ~benchmark body entries =
+  section title
+    (Printf.sprintf "Build profile: %s (flambda: %b)\n%s" Build_info.profile
+       Build_info.flambda body);
+  check ();
+  if scale = `Bench then begin
+    write_bench_json artifact ~benchmark entries;
+    Printf.printf "\nWrote %s\n" artifact
+  end;
+  gate ~unit baseline entries
 
-(* --------------------------------------------------------------- *)
-(* Communication benchmark: the wire-plan runtime                    *)
-(* --------------------------------------------------------------- *)
+(* ------------------------------------------------------------------ *)
+(* Modes: each declares its programs, its series and its entries        *)
+(* ------------------------------------------------------------------ *)
 
-type comm_path = {
-  cp_msgs : int;  (** messages per run *)
-  cp_bytes : int;  (** payload bytes per run *)
-  cp_msgs_per_sec : float;
-  cp_bytes_per_sec : float;
-}
+let total_cells (r : Sim.Engine.result) =
+  Array.fold_left
+    (fun n (pp : Sim.Stats.per_proc) -> n + pp.Sim.Stats.cells)
+    0 r.stats.Sim.Stats.procs
+
+(** Kernel loops on a 1x1-mesh engine, where the simulated program is
+    pure kernel execution (no communication), so cells/sec isolates the
+    array-statement path: row kernels (the engine's default) against the
+    interpreted per-point reference. *)
+let kernel_bench ?baseline ~scale () =
+  let tomcatv_defines, swm_defines =
+    match scale with
+    | `Bench -> ([ ("n", 128.); ("iters", 10.) ], [ ("n", 64.); ("iters", 8.) ])
+    | `Test -> ([ ("n", 64.); ("iters", 3.) ], [ ("n", 32.); ("iters", 2.) ])
+  in
+  (* (cells per run, per-point cells/sec, row cells/sec) *)
+  let paths ~defines source =
+    let c = compile ~config:Opt.Config.pl_cum ~defines source in
+    let trial row_path () =
+      sim_trial ~row_path ~lib:Machine.T3d.shmem ~pr:1 ~pc:1 c
+    in
+    let m =
+      rotated ~budget:0.25
+        ~work:(fun (r, _) -> float_of_int (total_cells r))
+        [| trial true; trial false |]
+    in
+    let row, (r, _) = m.(0) in
+    (total_cells r, fst m.(1), row)
+  in
+  let ((tc, tp, tr) as tomcatv) =
+    paths ~defines:tomcatv_defines Programs.Tomcatv.source
+  in
+  let ((sc, sp, sr) as swm) =
+    paths ~defines:swm_defines Programs.Suite.swm.Programs.Bench_def.source
+  in
+  let domains = Sim.Pool.default_domains () in
+  let grid_sec domains =
+    snd (wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains ()))
+  in
+  let serial = grid_sec 1 in
+  let parallel = grid_sec domains in
+  let line name (cells, point, row) =
+    Printf.sprintf
+      "%s (%d cells/run):\n\
+      \  per-point path : %12.0f cells/sec\n\
+      \  row path       : %12.0f cells/sec  (%.2fx point)"
+      name cells point row (row /. point)
+  in
+  (* [row_path_cells_per_sec] and friends keep the first artifact's key
+     names so old baselines stay comparable. *)
+  finish ?baseline ~scale ~unit:"cells/sec"
+    ~title:"Kernel benchmark: per-point vs row-compiled"
+    ~artifact:"BENCH_kernel.json"
+    ~benchmark:"kernel loops on a 1x1 mesh (T3D shmem): per-point vs row"
+    (Printf.sprintf
+       "%s\n\
+        %s\n\
+        Quick experiment grid (%d domain(s) available):\n\
+       \  serial         : %.3f s\n\
+       \  domain pool    : %.3f s"
+       (line "TOMCATV" tomcatv) (line "SWM" swm) domains serial parallel)
+    [ num "cells_per_run" (float_of_int tc);
+      num "point_path_cells_per_sec" tp;
+      num "row_path_cells_per_sec" tr;
+      num "row_vs_point_speedup" (tr /. tp);
+      num "tomcatv_point_cells_per_sec" tp;
+      num "tomcatv_row_cells_per_sec" tr;
+      num "swm_cells_per_run" (float_of_int sc);
+      num "swm_point_cells_per_sec" sp;
+      num "swm_row_cells_per_sec" sr;
+      num "grid_quick_serial_sec" serial;
+      num "grid_quick_parallel_sec" parallel;
+      num "grid_domains" (float_of_int domains) ]
 
 (** Transfer activations summed over processors: each transfer instance
     costs one receive-side and one send-side activation (DR+DN and
@@ -462,275 +378,169 @@ let activations (st : Sim.Stats.t) =
       n + pp.Sim.Stats.xfers_recv + pp.Sim.Stats.xfers_sent)
     0 st.Sim.Stats.procs
 
-(** One timed trial of a compiled program. Engine construction
-    (wire-plan compilation included) stays inside the timed region, so
-    the runtime is charged for its own planning — amortized over the
-    program's iterations, exactly as a real run would pay it. *)
-let comm_trial ~budget ~pr ~pc (c : Commopt.compiled) =
-  let msgs = ref 0 and bytes = ref 0 in
-  let runs, total =
-    repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-               ~pr ~pc c.flat)
-        in
-        let st = (Sim.Engine.run engine).Sim.Engine.stats in
-        msgs := Sim.Stats.total_messages st;
-        bytes := Sim.Stats.total_bytes st)
-  in
-  { cp_msgs = !msgs;
-    cp_bytes = !bytes;
-    cp_msgs_per_sec = float_of_int (!msgs * runs) /. total;
-    cp_bytes_per_sec = float_of_int (!bytes * runs) /. total }
-
-(** Best of three trials — interference only ever subtracts
-    throughput. *)
-let bench_comm_grid ~pr ~pc ~budget c =
-  let trials = List.init 3 (fun _ -> comm_trial ~budget ~pr ~pc c) in
-  note_spread (List.map (fun r -> r.cp_msgs_per_sec) trials);
-  List.fold_left
-    (fun b r -> if r.cp_msgs_per_sec > b.cp_msgs_per_sec then r else b)
-    (List.hd trials) trials
-
-type ping_path = {
-  pp_msgs : int;  (** messages per run *)
-  pp_bytes : int;  (** payload bytes per run *)
-  pp_exposed_sec : float;  (** per-run wall minus the busy twin's *)
-  pp_mwpa : float;  (** minor words per activation, busy-subtracted *)
-}
-
-(** Best (minimum) per-run wall seconds within [budget], run-phase
-    minor words, and stats for make+run of one compiled program.
-    Interference only ever slows a run down, so the minimum is the
-    estimate closest to the true cost. *)
-let run_once ~budget (c : Commopt.compiled) =
-  let mw = ref 0.0 and st = ref None in
-  let best = ref infinity in
-  let spent = ref 0.0 and runs = ref 0 in
-  while !spent < budget || !runs = 0 do
-    let _, dt =
-      wall (fun () ->
-          let engine =
-            Sim.Engine.of_plans
-              (Sim.Engine.plan ~machine:Machine.T3d.machine
-                 ~lib:Machine.T3d.pvm ~pr:1 ~pc:2 c.flat)
-          in
-          let w0 = Gc.minor_words () in
-          let r = Sim.Engine.run engine in
-          mw := Gc.minor_words () -. w0;
-          st := Some r.Sim.Engine.stats)
-    in
-    spent := !spent +. dt;
-    incr runs;
-    if dt < !best then best := dt
-  done;
-  (!best, !mw, Option.get !st)
-
-(** Figure 6's methodology applied to the communication runtime: time
-    the communicating program and its communication-free twin, and
-    report the {e exposed} per-run cost — what the runtime alone adds.
-    Both programs spend most of their time in (identical)
-    single-statement kernel execution and interpreter dispatch; the
-    subtraction isolates the communication calls. The two series are
-    timed in interleaved rounds so a slow phase of the machine cannot
-    land on one series; minima are kept per series. The exposure is
-    clamped at 1ns — on a loaded machine it can sink below the noise
-    floor; read very small exposures with suspicion. *)
-let ping ~budget (comm : Commopt.compiled) (busy : Commopt.compiled) =
-  (* One unmeasured run of each program shape: the first run after a
-     compile pays cold caches and page faults, which would otherwise
-     land entirely on whichever series is measured first. *)
-  ignore (run_once ~budget:0.0 comm);
-  ignore (run_once ~budget:0.0 busy);
-  let series = [| comm; busy |] in
-  let best = Array.make 2 infinity in
-  let seen = Array.make 2 [] in
-  let mw = Array.make 2 0.0 in
-  let stats = ref None in
-  for round = 0 to 2 do
-    for j = 0 to 1 do
-      let i = (j + round) mod 2 in
-      let sec, words, st = run_once ~budget:(budget /. 6.) series.(i) in
-      seen.(i) <- sec :: seen.(i);
-      if sec < best.(i) then best.(i) <- sec;
-      mw.(i) <- words;
-      if i = 0 then stats := Some st
-    done
-  done;
-  Array.iter note_spread seen;
-  let st = Option.get !stats in
-  { pp_msgs = Sim.Stats.total_messages st;
-    pp_bytes = Sim.Stats.total_bytes st;
-    pp_exposed_sec = Float.max 1e-9 (best.(0) -. best.(1));
-    (* allocation is deterministic, so one run of each suffices *)
-    pp_mwpa = (mw.(0) -. mw.(1)) /. float_of_int (activations st) }
-
-let ping_msgs_per_sec (p : ping_path) =
-  float_of_int p.pp_msgs /. p.pp_exposed_sec
-
-let ping_bytes_per_sec (p : ping_path) =
-  float_of_int p.pp_bytes /. p.pp_exposed_sec
-
-type comm_bench = { cb_ping : ping_path; cb_grid : comm_path }
-
-(** The ping microbenchmark is the combine-heavy two-node synthetic:
-    eight member arrays cross east as one cc-combined message per
-    iteration, so every message carries eight pieces packed into one
-    pooled staging buffer. It is compiled with combining but without
-    redundancy removal, so the single-statement loop body legitimately
-    re-transfers every iteration and the non-communication noise floor
-    stays minimal (see {!Programs.Synthetic.combined_source}). The grid
-    measurement is TOMCATV on a 4x4 mesh — a real stencil program under
-    the full [pl] configuration — timed raw (whole program, no
-    subtraction). *)
-let run_comm_bench ~scale () =
+(** The ping microbenchmark applies Figure 6's methodology to the
+    communication runtime: it times the combine-heavy two-node synthetic
+    and its communication-free twin and reports the {e exposed} per-run
+    cost — what the runtime alone adds. Eight member arrays cross east
+    as one cc-combined message per iteration, so every message carries
+    eight pieces packed into one pooled staging buffer; compiling with
+    combining but without redundancy removal keeps every iteration's
+    transfer and the non-communication noise floor minimal (see
+    {!Programs.Synthetic.combined_source}). The exposure is clamped at
+    1ns — on a loaded machine it can sink below the noise floor; read
+    very small exposures with suspicion. The grid measurement is TOMCATV
+    on a 4x4 mesh under the full [pl] configuration, timed raw. *)
+let comm_bench ?baseline ~scale () =
   let iters = match scale with `Bench -> 5000 | `Test -> 2000 in
   let defines = Programs.Synthetic.combined_defines ~doubles:8 ~iters in
   let cc_only = { Opt.Config.baseline with Opt.Config.cc = true } in
-  let comm =
-    compile ~config:cc_only ~defines Programs.Synthetic.combined_source
-  in
-  let busy =
-    compile ~config:cc_only ~defines Programs.Synthetic.combined_busy_source
-  in
   let budget = match scale with `Bench -> 3.0 | `Test -> 0.3 in
   let grid_defines =
     match scale with
     | `Bench -> [ ("n", 128.); ("iters", 10.) ]
     | `Test -> [ ("n", 32.); ("iters", 3.) ]
   in
+  let trial ~pr ~pc c () = sim_trial ~lib:Machine.T3d.pvm ~pr ~pc c in
+  let ping_trial source =
+    trial ~pr:1 ~pc:2 (compile ~config:cc_only ~defines source)
+  in
+  let ping =
+    rotated ~budget:(budget /. 6.) ~work:(fun _ -> 1.0)
+      [| ping_trial Programs.Synthetic.combined_source;
+         ping_trial Programs.Synthetic.combined_busy_source |]
+  in
+  let (comm_rate, (r, comm_mw)), (busy_rate, (_, busy_mw)) =
+    (ping.(0), ping.(1))
+  in
+  let st = r.Sim.Engine.stats in
+  let msgs = Sim.Stats.total_messages st in
+  let exposed = Float.max 1e-9 ((1. /. comm_rate) -. (1. /. busy_rate)) in
+  (* allocation is deterministic, so one run of each suffices *)
+  let mwpa = (comm_mw -. busy_mw) /. float_of_int (activations st) in
   let grid =
     compile ~config:Opt.Config.pl_cum ~defines:grid_defines
       Programs.Tomcatv.source
   in
-  { cb_ping = ping ~budget comm busy;
-    cb_grid = bench_comm_grid ~pr:4 ~pc:4 ~budget grid }
-
-let comm_numbers (cb : comm_bench) : (string * float) list =
-  let p = cb.cb_ping and g = cb.cb_grid in
-  [ ("ping_msgs_per_run", float_of_int p.pp_msgs);
-    ("ping_wire_msgs_per_sec", ping_msgs_per_sec p);
-    ("ping_wire_bytes_per_sec", ping_bytes_per_sec p);
-    ("ping_wire_minor_words_per_activation", p.pp_mwpa);
-    ("tomcatv_msgs_per_run", float_of_int g.cp_msgs);
-    ("tomcatv_wire_msgs_per_sec", g.cp_msgs_per_sec);
-    ("tomcatv_wire_bytes_per_sec", g.cp_bytes_per_sec) ]
-
-let write_comm_json path (cb : comm_bench) =
-  write_bench_json path
+  let grid_rate, grid_last =
+    (rotated ~budget
+       ~work:(fun (r, _) ->
+         float_of_int (Sim.Stats.total_messages r.Sim.Engine.stats))
+       [| trial ~pr:4 ~pc:4 grid |]).(0)
+  in
+  let gst = (fst grid_last).Sim.Engine.stats in
+  let gmsgs = Sim.Stats.total_messages gst in
+  let gbytes = Sim.Stats.total_bytes gst in
+  let grid_bytes_rate =
+    grid_rate *. float_of_int gbytes /. float_of_int gmsgs
+  in
+  let ping_msgs_rate = float_of_int msgs /. exposed in
+  let ping_bytes_rate = float_of_int (Sim.Stats.total_bytes st) /. exposed in
+  finish ?baseline ~scale ~unit:"/sec"
+    ~title:"Communication benchmark: wire-plan runtime"
+    ~artifact:"BENCH_comm.json"
     ~benchmark:
       "wire-plan communication runtime (T3D pvm): 2-node ping micro + \
        tomcatv 4x4 grid"
-    (num_entries (comm_numbers cb))
+    (Printf.sprintf
+       "Ping (1x2 mesh, 8 member pieces per combined message, exposed cost — \
+        busy twin subtracted, %d msgs/run):\n\
+       \  wire plans     : %12.0f msgs/sec  %14.0f bytes/sec\n\
+       \  minor words per activation (busy-subtracted): %.2f\n\
+        TOMCATV (4x4 mesh, raw whole-program, %d msgs, %d bytes per run):\n\
+       \  wire plans     : %12.0f msgs/sec  %14.0f bytes/sec"
+       msgs ping_msgs_rate ping_bytes_rate mwpa gmsgs gbytes grid_rate
+       grid_bytes_rate)
+    [ num "ping_msgs_per_run" (float_of_int msgs);
+      num "ping_wire_msgs_per_sec" ping_msgs_rate;
+      num "ping_wire_bytes_per_sec" ping_bytes_rate;
+      num "ping_wire_minor_words_per_activation" mwpa;
+      num "tomcatv_msgs_per_run" (float_of_int gmsgs);
+      num "tomcatv_wire_msgs_per_sec" grid_rate;
+      num "tomcatv_wire_bytes_per_sec" grid_bytes_rate ]
 
-(* --------------------------------------------------------------- *)
-(* Collective benchmark: opaque reductions vs synthesized schedules  *)
-(* --------------------------------------------------------------- *)
-
-type coll_cell = {
-  xc_per_sec : float;  (** host throughput: whole-machine reductions/sec *)
-  xc_sim_us : float;  (** simulated microseconds per reduction *)
-  xc_mwpr : float;  (** host minor words allocated per reduction (run phase) *)
-}
-
-let coll_meshes = [ (1, 2); (2, 2); (3, 3); (4, 4) ]
-
-let coll_modes =
-  ("opaque", Opt.Config.Opaque)
-  :: List.map
-       (fun a -> (Ir.Coll.alg_name a, Opt.Config.Forced a))
-       Ir.Coll.all_algs
-
-(** One timed trial: engine construction stays inside the timed region
-    (the synthesized schedules' mailbox setup is part of their cost),
-    mirroring {!comm_trial}. [reduces] is the whole-machine reduction
-    count per run — a reduction counts once however many processors
-    participate. *)
-let coll_trial ~budget ~pr ~pc ~reduces (c : Commopt.compiled) =
-  let sim = ref 0.0 and mw = ref 0.0 in
-  let runs, total =
-    repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-               ~pr ~pc c.flat)
-        in
-        let w0 = Gc.minor_words () in
-        let r = Sim.Engine.run engine in
-        mw := Gc.minor_words () -. w0;
-        sim := r.Sim.Engine.time)
-  in
-  { xc_per_sec = float_of_int (reduces * runs) /. total;
-    xc_sim_us = !sim /. float_of_int reduces *. 1e6;
-    xc_mwpr = !mw /. float_of_int reduces }
-
-(** The full grid: each mesh x {opaque + four algorithms}, best of three
-    interleaved trials with the starting mode rotated across trials —
-    the same noise discipline as {!bench_paths}. *)
-let run_coll_bench ~scale () =
+(** Opaque vendor reductions against the four synthesized collective
+    schedules, per mesh: host whole-machine reductions/sec (a reduction
+    counts once however many processors participate), the deterministic
+    simulated cost per reduction, and run-phase minor words per
+    reduction. *)
+let coll_bench ?baseline ~scale () =
   let iters = match scale with `Bench -> 400 | `Test -> 60 in
   let budget = match scale with `Bench -> 0.4 | `Test -> 0.08 in
   let defines = Programs.Synthetic.reduce_defines ~n:16 ~iters in
-  let reduces = Programs.Synthetic.reduce_count ~iters in
-  List.map
-    (fun (pr, pc) ->
-      let compiled =
-        List.map
-          (fun (name, collective) ->
-            let config = { Opt.Config.pl_cum with Opt.Config.collective } in
-            ( name,
-              compile ~config ~defines ~machine:Machine.T3d.machine
-                ~lib:Machine.T3d.pvm ~mesh:(pr, pc)
-                Programs.Synthetic.reduce_source ))
-          coll_modes
-      in
-      let nm = List.length compiled in
-      let arr = Array.of_list compiled in
-      let best = Array.make nm None in
-      let seen = Array.make nm [] in
-      for trial = 0 to 2 do
-        for j = 0 to nm - 1 do
-          let i = (j + trial) mod nm in
-          let _, c = arr.(i) in
-          let r = coll_trial ~budget ~pr ~pc ~reduces c in
-          seen.(i) <- r.xc_per_sec :: seen.(i);
-          match best.(i) with
-          | Some b when b.xc_per_sec >= r.xc_per_sec ->
-              (* keep the better host trial; sim time is deterministic *)
-              ()
-          | _ -> best.(i) <- Some r
-        done
-      done;
-      Array.iter note_spread seen;
-      let cells =
-        Array.to_list (Array.mapi (fun i (n, _) -> (n, Option.get best.(i))) arr)
-      in
-      ((pr, pc), cells))
-    coll_meshes
-
-let coll_numbers grid : (string * float) list =
-  List.concat_map
-    (fun ((pr, pc), cells) ->
-      List.concat_map
-        (fun (mode, cell) ->
-          [ (Printf.sprintf "m%dx%d_%s_per_sec" pr pc mode, cell.xc_per_sec);
-            (Printf.sprintf "m%dx%d_%s_sim_us" pr pc mode, cell.xc_sim_us);
-            ( Printf.sprintf "m%dx%d_%s_minor_words_per_reduce" pr pc mode,
-              cell.xc_mwpr ) ])
-        cells)
-    grid
-
-let write_coll_json path grid =
-  write_bench_json path
+  let reduces = float_of_int (Programs.Synthetic.reduce_count ~iters) in
+  let modes =
+    ("opaque", Opt.Config.Opaque)
+    :: List.map
+         (fun a -> (Ir.Coll.alg_name a, Opt.Config.Forced a))
+         Ir.Coll.all_algs
+  in
+  (* (mesh, mode, reduces/sec, sim us/reduce, minor words/reduce) *)
+  let cells =
+    List.concat_map
+      (fun (pr, pc) ->
+        let trial (_, collective) =
+          let config = { Opt.Config.pl_cum with Opt.Config.collective } in
+          let c =
+            compile ~config ~defines ~machine:Machine.T3d.machine
+              ~lib:Machine.T3d.pvm ~mesh:(pr, pc)
+              Programs.Synthetic.reduce_source
+          in
+          fun () -> sim_trial ~lib:Machine.T3d.pvm ~pr ~pc c
+        in
+        let m =
+          rotated ~budget ~work:(fun _ -> reduces)
+            (Array.of_list (List.map trial modes))
+        in
+        List.mapi
+          (fun i (mode, _) ->
+            let rate, (r, mw) = m.(i) in
+            ( (pr, pc),
+              mode,
+              rate,
+              r.Sim.Engine.time /. reduces *. 1e6,
+              mw /. reduces ))
+          modes)
+      [ (1, 2); (2, 2); (3, 3); (4, 4) ]
+  in
+  let row ((pr, pc), mode, rate, sim_us, mwpr) =
+    let pick =
+      Opt.Collective.choose ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
+        (pr * pc)
+    in
+    let host_winner =
+      List.for_all
+        (fun (m, _, r, _, _) -> m <> (pr, pc) || r <= rate)
+        cells
+    in
+    [ Printf.sprintf "%dx%d" pr pc; mode; Printf.sprintf "%.0f" rate;
+      Printf.sprintf "%.3f" sim_us; Printf.sprintf "%.1f" mwpr;
+      String.trim
+        ((if mode = Ir.Coll.alg_name pick then "<- cost-model pick " else "")
+        ^ if host_winner then "<- host winner" else "") ]
+  in
+  finish ?baseline ~scale ~unit:"/sec"
+    ~title:
+      "Collective benchmark: opaque reductions vs synthesized DR/SR/DN/SV \
+       schedules"
+    ~artifact:"BENCH_collective.json"
     ~benchmark:
       "opaque vendor reduction vs synthesized collective schedules (T3D \
        pvm), whole-machine reductions/sec and simulated us per reduction"
-    (num_entries (coll_numbers grid))
-
-(* --------------------------------------------------------------- *)
-(* Sweep benchmark: plan-cache throughput, cold vs warm pass         *)
-(* --------------------------------------------------------------- *)
+    ("Synthetic: 3 reductions (+, max, min) per iteration over a 16x16 \
+      grid.\nHost throughput is whole-machine reductions/sec (best of 3 \
+      rotated trials);\nsim is the deterministic simulated cost per \
+      reduction under the T3D/PVM model.\n\n"
+    ^ Report.Table.render
+        ~aligns:Report.Table.[ L; L; R; R; R; L ]
+        ~header:
+          [ "mesh"; "mode"; "reduces/sec"; "sim us/red"; "mwords/red"; "notes" ]
+        (List.map row cells))
+    (List.concat_map
+       (fun ((pr, pc), mode, rate, sim_us, mwpr) ->
+         let key = Printf.sprintf "m%dx%d_%s_%s" pr pc mode in
+         [ num (key "per_sec") rate; num (key "sim_us") sim_us;
+           num (key "minor_words_per_reduce") mwpr ])
+       cells)
 
 (** The sweep grid: benchmark x experiment row x collective mode, at
     test problem sizes clamped to a single iteration — compilation
@@ -775,93 +585,17 @@ let sweep_items ~scale () =
         Report.Experiment.paper_rows)
     benches
 
-let sweep_numbers ~n (cold : Run.Sweep.summary) (warm : Run.Sweep.summary) :
-    (string * float) list =
-  let fn = float_of_int n in
-  [ ("sweep_specs", fn);
-    ("cold_wall_sec", cold.Run.Sweep.wall);
-    ("warm_wall_sec", warm.Run.Sweep.wall);
-    ("cold_specs_per_sec", fn /. cold.Run.Sweep.wall);
-    ("warm_specs_per_sec", fn /. warm.Run.Sweep.wall);
-    ("warm_vs_cold_speedup", cold.Run.Sweep.wall /. warm.Run.Sweep.wall);
-    ("cold_hits", float_of_int cold.Run.Sweep.hits);
-    ("warm_hits", float_of_int warm.Run.Sweep.hits);
-    ("warm_misses", float_of_int warm.Run.Sweep.misses);
-    ("warm_memo_hits", float_of_int warm.Run.Sweep.memo_hits);
-    ( "cache_evictions",
-      float_of_int warm.Run.Sweep.counters.Run.Cache.evictions ) ]
-
-type mint_bench = {
-  mi_cold_us : float;
-      (** µs per cold mint: [plan] (kernel compilation included) +
-          [of_plans] *)
-  mi_cached_us : float;
-      (** µs per cached mint: [of_plans] on one shared [plans] value —
-          store binding only, the work a [Run.Cache] hit performs *)
-  mi_cached_mw : float;  (** minor words allocated per cached mint *)
-}
-
-(** Cold vs cached engine minting on the tomcatv 2x2 cell. The cold
-    series re-plans everything the cache would share (comm schedule,
-    wire blits, collective roles, per-rank kernel programs); the cached
-    series only binds fresh stores into the shared plans. Best
-    (minimum) per-mint average over three interleaved trials with the
-    starting series rotated — the same noise discipline as
-    {!bench_paths}. Allocation per cached mint is deterministic, so one
-    counted batch suffices for the words number. *)
-let run_mint_bench ~scale () =
-  let defines =
-    match scale with
-    | `Bench -> [ ("n", 64.); ("iters", 2.) ]
-    | `Test -> [ ("n", 16.); ("iters", 1.) ]
-  in
-  let c = compile ~config:Opt.Config.pl_cum ~defines Programs.Tomcatv.source in
-  let plan () =
-    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:2
-      ~pc:2 c.flat
-  in
-  let shared = plan () in
-  let budget = match scale with `Bench -> 0.4 | `Test -> 0.08 in
-  let best = [| infinity; infinity |] (* 0 = cold, 1 = cached *) in
-  let seen = [| []; [] |] in
-  for trial = 0 to 2 do
-    for j = 0 to 1 do
-      let i = (j + trial) mod 2 in
-      let f =
-        if i = 0 then fun () -> ignore (Sim.Engine.of_plans (plan ()))
-        else fun () -> ignore (Sim.Engine.of_plans shared)
-      in
-      let runs, total = repeat_for ~budget f in
-      let us = total /. float_of_int runs *. 1e6 in
-      seen.(i) <- (1e6 /. us) :: seen.(i);
-      if us < best.(i) then best.(i) <- us
-    done
-  done;
-  Array.iter note_spread seen;
-  let batch = 64 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to batch do
-    ignore (Sim.Engine.of_plans shared)
-  done;
-  let mw = (Gc.minor_words () -. w0) /. float_of_int batch in
-  { mi_cold_us = best.(0); mi_cached_us = best.(1); mi_cached_mw = mw }
-
-let mint_numbers (m : mint_bench) : (string * float) list =
-  [ ("mint_cold_us", m.mi_cold_us);
-    ("mint_cached_us", m.mi_cached_us);
-    ("mint_cold_vs_cached_speedup", m.mi_cold_us /. m.mi_cached_us);
-    ("mint_cached_minor_words", m.mi_cached_mw) ]
-
-let write_sweep_json path numbers =
-  write_bench_json path
-    ~benchmark:
-      "content-addressed plan cache: cold vs warm sweep over a benchmark x \
-       row x collective spec grid (test scale, 1 iteration, 2x2 mesh)"
-    (num_entries numbers)
-
-let print_sweep_bench ?baseline ~scale () =
+(** Cold vs warm passes of the sweep grid through one [Run.Sweep]
+    service (the warm pass must answer entirely from the cache: exit 4
+    otherwise), then cold vs cached engine minting on the tomcatv 2x2
+    cell. The cold mint series re-plans everything the cache would share
+    (comm schedule, wire blits, collective roles, per-rank kernel
+    programs); the cached series only binds fresh stores into the shared
+    plans. *)
+let sweep_bench ?baseline ~scale () =
   let items = sweep_items ~scale () in
   let n = List.length items in
+  let fn = float_of_int n in
   let sweep = Run.Sweep.create () in
   let cold = Run.Sweep.run sweep items in
   let warm =
@@ -885,19 +619,73 @@ let print_sweep_bench ?baseline ~scale () =
      allocation of the loop (GC counters are per-domain). *)
   let w0 = Gc.minor_words () in
   let _probe = Run.Sweep.run ~domains:1 sweep items in
-  let warm_mw_per_spec = (Gc.minor_words () -. w0) /. float_of_int n in
-  let mint = run_mint_bench ~scale () in
-  let mint_speedup = mint.mi_cold_us /. mint.mi_cached_us in
-  let numbers =
-    sweep_numbers ~n cold warm
-    @ [ ("warm_minor_words_per_spec", warm_mw_per_spec) ]
-    @ mint_numbers mint
+  let warm_mw_per_spec = (Gc.minor_words () -. w0) /. fn in
+  let defines =
+    match scale with
+    | `Bench -> [ ("n", 64.); ("iters", 2.) ]
+    | `Test -> [ ("n", 16.); ("iters", 1.) ]
   in
+  let c = compile ~config:Opt.Config.pl_cum ~defines Programs.Tomcatv.source in
+  let plan () =
+    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:2
+      ~pc:2 c.flat
+  in
+  let shared = plan () in
+  let mint =
+    rotated
+      ~budget:(match scale with `Bench -> 0.4 | `Test -> 0.08)
+      ~work:(fun _ -> 1.0)
+      [| (fun () -> ignore (Sim.Engine.of_plans (plan ())));
+         (fun () -> ignore (Sim.Engine.of_plans shared)) |]
+  in
+  let cold_us = 1e6 /. fst mint.(0) and cached_us = 1e6 /. fst mint.(1) in
+  let mint_speedup = cold_us /. cached_us in
+  (* allocation per cached mint is deterministic: one counted batch *)
+  let batch = 64 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to batch do
+    ignore (Sim.Engine.of_plans shared)
+  done;
+  let mint_mw = (Gc.minor_words () -. w0) /. float_of_int batch in
   let speedup = cold.Run.Sweep.wall /. warm.Run.Sweep.wall in
-  section "Sweep benchmark: content-addressed plan cache, cold vs warm pass"
+  let check () =
+    if warm.Run.Sweep.misses > 0 then begin
+      Printf.printf
+        "CACHE FAILURE: the warm pass re-compiled %d of %d specs — identical \
+         specs must hit\n"
+        warm.Run.Sweep.misses n;
+      exit 4
+    end;
+    (* The cached-mint claim is a perf acceptance, not just a trend: in
+       the release profile a cache hit must mint engines well clear of
+       cold planning. Drift-aware like the --baseline gate — if the
+       rotated trials disagreed by more than the threshold, the host was
+       too noisy for the ratio to convict. *)
+    if Build_info.profile = "release" && mint_speedup < 5.0 then begin
+      if !max_drift >= drift_threshold then
+        Printf.printf
+          "DRIFT: trial spread %.0f%% >= %.0f%% — cached-mint speedup %.1fx \
+           (< 5x target) is advisory only on this host\n"
+          (100. *. !max_drift)
+          (100. *. drift_threshold)
+          mint_speedup
+      else begin
+        Printf.printf
+          "MINT REGRESSION: cached mint only %.1fx faster than cold (target \
+           >= 5x in release profile)\n"
+          mint_speedup;
+        exit 3
+      end
+    end
+  in
+  finish ?baseline ~check ~scale ~unit:"/sec"
+    ~title:"Sweep benchmark: content-addressed plan cache, cold vs warm pass"
+    ~artifact:"BENCH_sweep.json"
+    ~benchmark:
+      "content-addressed plan cache: cold vs warm sweep over a benchmark x \
+       row x collective spec grid (test scale, 1 iteration, 2x2 mesh)"
     (Printf.sprintf
-       "Build profile: %s (flambda: %b)\n\
-        Grid: %d specs (benchmark x experiment row x collective mode)\n\
+       "Grid: %d specs (benchmark x experiment row x collective mode)\n\
        \  cold pass      : %8.3f s  (%8.1f specs/sec, %d hits / %d misses)\n\
        \  warm pass      : %8.3f s  (%8.1f specs/sec, %d hits / %d misses, \
         %d memo)\n\
@@ -909,155 +697,33 @@ let print_sweep_bench ?baseline ~scale () =
        \  cached mint    : %10.1f us  (of_plans only, store binding)\n\
        \  speedup        : %.1fx cached vs cold (release target >= 5x)\n\
        \  allocation     : %8.0f minor words per cached mint%s"
-       Build_info.profile Build_info.flambda n cold.Run.Sweep.wall
-       (float_of_int n /. cold.Run.Sweep.wall)
-       cold.Run.Sweep.hits cold.Run.Sweep.misses warm.Run.Sweep.wall
-       (float_of_int n /. warm.Run.Sweep.wall)
+       n cold.Run.Sweep.wall (fn /. cold.Run.Sweep.wall) cold.Run.Sweep.hits
+       cold.Run.Sweep.misses warm.Run.Sweep.wall (fn /. warm.Run.Sweep.wall)
        warm.Run.Sweep.hits warm.Run.Sweep.misses warm.Run.Sweep.memo_hits
        speedup
        (if speedup >= 2.0 then "PASS" else "MISS")
-       warm.Run.Sweep.counters.Run.Cache.evictions warm_mw_per_spec
-       mint.mi_cold_us mint.mi_cached_us mint_speedup mint.mi_cached_mw
+       warm.Run.Sweep.counters.Run.Cache.evictions warm_mw_per_spec cold_us
+       cached_us mint_speedup mint_mw
        (if scale = `Bench then
           "\nWrote BENCH_sweep_grid.json (incremental per-spec artifact)"
-        else ""));
-  if warm.Run.Sweep.misses > 0 then begin
-    Printf.printf
-      "CACHE FAILURE: the warm pass re-compiled %d of %d specs — identical \
-       specs must hit\n"
-      warm.Run.Sweep.misses n;
-    exit 4
-  end;
-  (* The cached-mint claim is a perf acceptance, not just a trend: in
-     the release profile a cache hit must mint engines well clear of
-     cold planning. Drift-aware like the --baseline gate — if the
-     rotated trials disagreed by more than the threshold, the host was
-     too noisy for the ratio to convict. *)
-  if Build_info.profile = "release" && mint_speedup < 5.0 then begin
-    if !max_drift >= drift_threshold then
-      Printf.printf
-        "DRIFT: trial spread %.0f%% >= %.0f%% — cached-mint speedup %.1fx \
-         (< 5x target) is advisory only on this host\n"
-        (100. *. !max_drift)
-        (100. *. drift_threshold)
-        mint_speedup
-    else begin
-      Printf.printf
-        "MINT REGRESSION: cached mint only %.1fx faster than cold (target \
-         >= 5x in release profile)\n"
-        mint_speedup;
-      exit 3
-    end
-  end;
-  if scale = `Bench then begin
-    write_sweep_json "BENCH_sweep.json" numbers;
-    Printf.printf "\nWrote BENCH_sweep.json\n"
-  end;
-  gate ~unit:"/sec" baseline numbers
-
-let print_kernel_bench ?baseline ~scale () =
-  let kb = run_kernel_bench ~scale () in
-  let line name (p : path_cps) =
-    Printf.sprintf
-      "%s (%d cells/run):\n\
-      \  per-point path : %12.0f cells/sec\n\
-      \  row path       : %12.0f cells/sec  (%.2fx point)"
-      name p.pc_cells p.pc_point p.pc_row
-      (p.pc_row /. p.pc_point)
-  in
-  section "Kernel benchmark: per-point vs row-compiled"
-    (Printf.sprintf
-       "Build profile: %s (flambda: %b)\n\
-        %s\n\
-        %s\n\
-        Quick experiment grid (%d domain(s) available):\n\
-       \  serial         : %.3f s\n\
-       \  domain pool    : %.3f s"
-       Build_info.profile Build_info.flambda
-       (line "TOMCATV" kb.kb_tomcatv)
-       (line "SWM" kb.kb_swm) kb.kb_domains kb.kb_grid_serial
-       kb.kb_grid_parallel);
-  (* Quick runs exist for smoke tests and gate checks; only a full-scale
-     run is a measurement worth committing as the baseline artifact. *)
-  if scale = `Bench then begin
-    write_kernel_json "BENCH_kernel.json" kb;
-    Printf.printf "\nWrote BENCH_kernel.json\n"
-  end;
-  gate ~unit:"cells/sec" baseline (kernel_numbers kb)
-
-let print_coll_bench ?baseline ~scale () =
-  let grid = run_coll_bench ~scale () in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "Build profile: %s (flambda: %b)\n" Build_info.profile
-       Build_info.flambda);
-  Buffer.add_string buf
-    "Synthetic: 3 reductions (+, max, min) per iteration over a 16x16 \
-     grid.\nHost throughput is whole-machine reductions/sec (best of 3 \
-     rotated trials);\nsim is the deterministic simulated cost per \
-     reduction under the T3D/PVM model.\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-6s %-10s %14s %12s %10s %s\n" "mesh" "mode"
-       "reduces/sec" "sim us/red" "mwords/red" "notes");
-  List.iter
-    (fun ((pr, pc), cells) ->
-      let pick =
-        Opt.Collective.choose ~machine:Machine.T3d.machine
-          ~lib:Machine.T3d.pvm (pr * pc)
-      in
-      let host_winner, _ =
-        List.fold_left
-          (fun (bn, bv) (n, c) ->
-            if c.xc_per_sec > bv then (n, c.xc_per_sec) else (bn, bv))
-          ("", 0.0) cells
-      in
-      List.iter
-        (fun (mode, cell) ->
-          let notes =
-            (if mode = Ir.Coll.alg_name pick then "<- cost-model pick " else "")
-            ^ if mode = host_winner then "<- host winner" else ""
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%-6s %-10s %14.0f %12.3f %10.1f %s\n"
-               (Printf.sprintf "%dx%d" pr pc)
-               mode cell.xc_per_sec cell.xc_sim_us cell.xc_mwpr notes))
-        cells;
-      Buffer.add_char buf '\n')
-    grid;
-  section
-    "Collective benchmark: opaque reductions vs synthesized DR/SR/DN/SV \
-     schedules"
-    (Buffer.contents buf);
-  if scale = `Bench then begin
-    write_coll_json "BENCH_collective.json" grid;
-    Printf.printf "\nWrote BENCH_collective.json\n"
-  end;
-  gate ~unit:"/sec" baseline (coll_numbers grid)
-
-let print_comm_bench ?baseline ~scale () =
-  let cb = run_comm_bench ~scale () in
-  let p = cb.cb_ping and g = cb.cb_grid in
-  section "Communication benchmark: wire-plan runtime"
-    (Printf.sprintf
-       "Build profile: %s (flambda: %b)\n\
-        Ping (1x2 mesh, 8 member pieces per combined message, exposed cost — \
-        busy twin subtracted, %d msgs/run):\n\
-       \  wire plans     : %12.0f msgs/sec  %14.0f bytes/sec\n\
-       \  minor words per activation (busy-subtracted): %.2f\n\
-        TOMCATV (4x4 mesh, raw whole-program, %d msgs, %d bytes per run):\n\
-       \  wire plans     : %12.0f msgs/sec  %14.0f bytes/sec"
-       Build_info.profile Build_info.flambda p.pp_msgs (ping_msgs_per_sec p)
-       (ping_bytes_per_sec p) p.pp_mwpa g.cp_msgs g.cp_bytes
-       g.cp_msgs_per_sec g.cp_bytes_per_sec);
-  if scale = `Bench then begin
-    write_comm_json "BENCH_comm.json" cb;
-    Printf.printf "\nWrote BENCH_comm.json\n"
-  end;
-  gate ~unit:"/sec" baseline (comm_numbers cb)
-
-(* --------------------------------------------------------------- *)
-(* Contention benchmark: topology-aware network model                *)
-(* --------------------------------------------------------------- *)
+        else ""))
+    [ num "sweep_specs" fn;
+      num "cold_wall_sec" cold.Run.Sweep.wall;
+      num "warm_wall_sec" warm.Run.Sweep.wall;
+      num "cold_specs_per_sec" (fn /. cold.Run.Sweep.wall);
+      num "warm_specs_per_sec" (fn /. warm.Run.Sweep.wall);
+      num "warm_vs_cold_speedup" speedup;
+      num "cold_hits" (float_of_int cold.Run.Sweep.hits);
+      num "warm_hits" (float_of_int warm.Run.Sweep.hits);
+      num "warm_misses" (float_of_int warm.Run.Sweep.misses);
+      num "warm_memo_hits" (float_of_int warm.Run.Sweep.memo_hits);
+      num "cache_evictions"
+        (float_of_int warm.Run.Sweep.counters.Run.Cache.evictions);
+      num "warm_minor_words_per_spec" warm_mw_per_spec;
+      num "mint_cold_us" cold_us;
+      num "mint_cached_us" cached_us;
+      num "mint_cold_vs_cached_speedup" mint_speedup;
+      num "mint_cached_minor_words" mint_mw ]
 
 let contention_configs =
   [ ("baseline", Opt.Config.baseline);
@@ -1068,31 +734,13 @@ let contention_configs =
 (** Simulated time of [source] under one (config, topology) cell.
     Deterministic model output — the host-measurement machinery plays
     no part in these numbers. *)
-let contention_sim ?collective ~defines ~mesh:(pr, pc) ~topology ~config
-    source =
-  let spec =
-    let open Run.Spec in
-    default source |> with_defines defines |> with_config config
-    |> with_mesh pr pc |> with_topology topology
-  in
-  let spec =
-    match collective with
-    | None -> spec
-    | Some c -> Run.Spec.with_collective c spec
-  in
-  (Run.Spec.run spec).Sim.Engine.time
-
-type contention_row = {
-  nr_topo : Machine.Topology.t;
-  nr_times : (string * float) list;  (** (config label, simulated seconds) *)
-  nr_argmin : string;  (** fastest config's label (first wins ties) *)
-}
-
-let argmin_label cells =
-  fst
-    (List.fold_left
-       (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
-       ("", infinity) cells)
+let contention_sim ?(collective = Opt.Config.Opaque) ~defines ~mesh:(pr, pc)
+    ~topology ~config source =
+  let open Run.Spec in
+  (default source |> with_defines defines |> with_config config
+  |> with_mesh pr pc |> with_topology topology
+  |> with_collective collective |> run)
+    .Sim.Engine.time
 
 (** The pinned collective-pick scenario: a line of 9 processors on a
     wire-dominated T3D variant. 9 is not a power of two, so the
@@ -1100,23 +748,14 @@ let argmin_label cells =
     mesh line, 1 on a torus) and recursive doubling's fold phase price
     differently per topology — the argmin of the cost search moves
     when the wrap links appear. *)
-let pick_nprocs = 9
-
-let pick_mesh = (1, 9)
-
 let pick_machine =
   { Machine.T3d.machine with Machine.Params.wire_latency = 40e-6 }
 
-type contention_bench = {
-  nb_tomcatv : contention_row list;
-  nb_contended : contention_row list;
-  nb_picks : (Machine.Topology.t * string) list;
-      (** cost-search winner per topology in the pinned line-of-9 *)
-  nb_runs_per_sec : (Machine.Topology.t * float) list;
-      (** host compile+simulate throughput of the tomcatv cell *)
-}
-
-let run_contention_bench ~scale () =
+(** Per-config simulated times and their argmin per topology for two
+    programs, the pinned line-of-9 collective picks, and the host
+    compile+simulate throughput of the tomcatv cell per topology (the
+    gateable measurement). *)
+let contention_bench ?baseline ~scale () =
   let tom_defines =
     match scale with
     | `Bench -> [ ("n", 64.); ("iters", 5.) ]
@@ -1127,7 +766,10 @@ let run_contention_bench ~scale () =
     | `Bench -> Programs.Synthetic.contended_defines ~n:48 ~iters:6
     | `Test -> Programs.Synthetic.contended_defines ~n:16 ~iters:3
   in
-  let rows ?collective ~mesh ~defines source =
+  let topos = Machine.Topology.all in
+  (* (topology name, (config label, simulated seconds) list, argmin —
+     the first fastest config wins ties) per topology *)
+  let sims ?collective ~mesh ~defines source =
     List.map
       (fun topology ->
         let times =
@@ -1138,146 +780,98 @@ let run_contention_bench ~scale () =
                   source ))
             contention_configs
         in
-        { nr_topo = topology;
-          nr_times = times;
-          nr_argmin = argmin_label times })
-      Machine.Topology.all
+        let argmin, _ =
+          List.fold_left
+            (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
+            ("", infinity) times
+        in
+        (Machine.Topology.name topology, times, argmin))
+      topos
   in
   (* tomcatv keeps its opaque vendor reductions: pure stencil traffic
      under per-link occupancy. The contended synthetic forces the
      cost-searched collectives, whose multi-hop rounds share links with
      the stencil messages — the topology-sensitive case. *)
-  let tomcatv = rows ~mesh:(4, 4) ~defines:tom_defines Programs.Tomcatv.source in
+  let tomcatv = sims ~mesh:(4, 4) ~defines:tom_defines Programs.Tomcatv.source in
   let contended =
-    rows ~collective:Opt.Config.Auto ~mesh:(1, 8) ~defines:con_defines
+    sims ~collective:Opt.Config.Auto ~mesh:(1, 8) ~defines:con_defines
       Programs.Synthetic.contended_source
   in
   let picks =
     List.map
       (fun topology ->
-        ( topology,
-          Ir.Coll.alg_name
-            (Opt.Collective.choose ~topology ~mesh:pick_mesh
-               ~machine:pick_machine ~lib:Machine.T3d.pvm pick_nprocs) ))
-      Machine.Topology.all
+        Ir.Coll.alg_name
+          (Opt.Collective.choose ~topology ~mesh:(1, 9) ~machine:pick_machine
+             ~lib:Machine.T3d.pvm 9))
+      topos
   in
-  (* Host throughput of one whole compile+simulate cell per topology —
-     the gateable measurement, best of 3 rotated trials. *)
-  let budget = match scale with `Bench -> 0.6 | `Test -> 0.1 in
-  let topo_arr = Array.of_list Machine.Topology.all in
-  let nt = Array.length topo_arr in
-  let best = Array.make nt 0.0 in
-  let seen = Array.make nt [] in
-  for trial = 0 to 2 do
-    for j = 0 to nt - 1 do
-      let i = (j + trial) mod nt in
-      let runs, total =
-        repeat_for ~budget (fun () ->
-            ignore
-              (contention_sim ~defines:tom_defines ~mesh:(4, 4)
-                 ~topology:topo_arr.(i) ~config:Opt.Config.pl_cum
-                 Programs.Tomcatv.source))
-      in
-      let rps = float_of_int runs /. total in
-      seen.(i) <- rps :: seen.(i);
-      if rps > best.(i) then best.(i) <- rps
-    done
-  done;
-  Array.iter note_spread seen;
-  { nb_tomcatv = tomcatv;
-    nb_contended = contended;
-    nb_picks = picks;
-    nb_runs_per_sec =
-      Array.to_list (Array.mapi (fun i t -> (t, best.(i))) topo_arr) }
-
-let contention_entries (nb : contention_bench) : (string * jval) list =
-  let prog_entries prefix rows =
+  let rps =
+    rotated
+      ~budget:(match scale with `Bench -> 0.6 | `Test -> 0.1)
+      ~work:(fun _ -> 1.0)
+      (Array.of_list
+         (List.map
+            (fun topology () ->
+              contention_sim ~defines:tom_defines ~mesh:(4, 4) ~topology
+                ~config:Opt.Config.pl_cum Programs.Tomcatv.source)
+            topos))
+  in
+  let rps = Array.to_list (Array.map fst rps) in
+  let names = List.map Machine.Topology.name topos in
+  let table title rows =
+    title ^ "\n"
+    ^ Report.Table.render
+        ~aligns:Report.Table.[ L; R; R; R; R; L ]
+        ~header:(("topology" :: List.map fst contention_configs) @ [ "argmin" ])
+        (List.map
+           (fun (tn, times, argmin) ->
+             (tn :: List.map (fun (_, t) -> Printf.sprintf "%.6f" t) times)
+             @ [ argmin ])
+           rows)
+    ^ "\n\n"
+  in
+  let entries prefix rows =
     List.concat_map
-      (fun r ->
-        let tn = Machine.Topology.name r.nr_topo in
+      (fun (tn, times, argmin) ->
         List.map
           (fun (cfg, t) ->
-            (Printf.sprintf "%s_%s_%s_sim_sec" prefix tn cfg, Num t))
-          r.nr_times
-        @ [ (Printf.sprintf "%s_%s_argmin" prefix tn, Str r.nr_argmin) ])
+            num (Printf.sprintf "%s_%s_%s_sim_sec" prefix tn cfg) t)
+          times
+        @ [ (Printf.sprintf "%s_%s_argmin" prefix tn, Str argmin) ])
       rows
   in
-  prog_entries "tomcatv" nb.nb_tomcatv
-  @ prog_entries "contended" nb.nb_contended
-  @ List.map
-      (fun (topo, alg) ->
-        (Printf.sprintf "pick_line9_%s" (Machine.Topology.name topo), Str alg))
-      nb.nb_picks
-  @ List.map
-      (fun (topo, rps) ->
-        ( Printf.sprintf "tomcatv_%s_runs_per_sec" (Machine.Topology.name topo),
-          Num rps ))
-      nb.nb_runs_per_sec
-
-let print_contention_bench ?baseline ~scale () =
-  let nb = run_contention_bench ~scale () in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "Build profile: %s (flambda: %b)\n\n" Build_info.profile
-       Build_info.flambda);
-  let table title rows =
-    Buffer.add_string buf (title ^ "\n");
-    Buffer.add_string buf
-      (Printf.sprintf "  %-8s %12s %12s %12s %12s   %s\n" "topology"
-         "baseline" "rr" "cc" "pl" "argmin");
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-8s %12.6f %12.6f %12.6f %12.6f   %s\n"
-             (Machine.Topology.name r.nr_topo)
-             (List.assoc "baseline" r.nr_times)
-             (List.assoc "rr" r.nr_times)
-             (List.assoc "cc" r.nr_times)
-             (List.assoc "pl" r.nr_times)
-             r.nr_argmin))
-      rows;
-    Buffer.add_char buf '\n'
-  in
-  table
-    "TOMCATV, 4x4 mesh, opaque reductions (simulated seconds per config):"
-    nb.nb_tomcatv;
-  table
-    "CONTENDED bisection synthetic, 1x8 line, cost-searched collectives:"
-    nb.nb_contended;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "Pinned collective pick (line of %d, wire latency %.0f us):\n"
-       pick_nprocs
-       (pick_machine.Machine.Params.wire_latency *. 1e6));
-  List.iter
-    (fun (topo, alg) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-8s -> %s\n" (Machine.Topology.name topo) alg))
-    nb.nb_picks;
-  Buffer.add_string buf "\nHost compile+simulate throughput (tomcatv cell):\n";
-  List.iter
-    (fun (topo, rps) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-8s %8.2f runs/sec\n" (Machine.Topology.name topo)
-           rps))
-    nb.nb_runs_per_sec;
-  section
-    "Contention benchmark: per-link occupancy on mesh/torus vs the ideal \
-     crossbar"
-    (Buffer.contents buf);
-  if scale = `Bench then begin
-    write_bench_json "BENCH_contention.json"
-      ~benchmark:
-        "topology-aware network contention (T3D pvm): per-config simulated \
-         times and argmin per topology, pinned collective picks, host \
-         compile+simulate throughput"
-      (contention_entries nb);
-    Printf.printf "\nWrote BENCH_contention.json\n"
-  end;
-  gate ~unit:"/sec" baseline
-    (List.filter_map
-       (function k, Num v -> Some (k, v) | _, Str _ -> None)
-       (contention_entries nb))
+  finish ?baseline ~scale ~unit:"/sec"
+    ~title:
+      "Contention benchmark: per-link occupancy on mesh/torus vs the ideal \
+       crossbar"
+    ~artifact:"BENCH_contention.json"
+    ~benchmark:
+      "topology-aware network contention (T3D pvm): per-config simulated \
+       times and argmin per topology, pinned collective picks, host \
+       compile+simulate throughput"
+    ("\n"
+    ^ table
+        "TOMCATV, 4x4 mesh, opaque reductions (simulated seconds per config):"
+        tomcatv
+    ^ table
+        "CONTENDED bisection synthetic, 1x8 line, cost-searched collectives:"
+        contended
+    ^ Printf.sprintf
+        "Pinned collective pick (line of 9, wire latency %.0f us) and host \
+         compile+simulate throughput (tomcatv cell):\n"
+        (pick_machine.Machine.Params.wire_latency *. 1e6)
+    ^ Report.Table.render
+        ~aligns:Report.Table.[ L; L; R ]
+        ~header:[ "topology"; "pick"; "runs/sec" ]
+        (List.map2
+           (fun (tn, pick) r -> [ tn; pick; Printf.sprintf "%.2f" r ])
+           (List.combine names picks) rps))
+    (entries "tomcatv" tomcatv
+    @ entries "contended" contended
+    @ List.map2 (fun tn p -> ("pick_line9_" ^ tn, Str p)) names picks
+    @ List.map2
+        (fun tn r -> num (Printf.sprintf "tomcatv_%s_runs_per_sec" tn) r)
+        names rps)
 
 (* Flag parsing is shared with zplc through {!Cli.Cmdline} (--quick,
    --baseline); only the mode selector is bench-specific. *)
@@ -1287,10 +881,7 @@ let main =
     Arg.(
       value
       & vflag `Report
-          [ ( `Bechamel,
-              info [ "bechamel" ]
-                ~doc:"Bechamel micro-benchmarks over the paper exhibits" );
-            ( `Kernel,
+          [ ( `Kernel,
               info [ "kernel" ]
                 ~doc:
                   "per-point vs row kernel throughput; writes \
@@ -1321,15 +912,14 @@ let main =
     let scale = Cli.Cmdline.scale_of_quick quick in
     let baseline = load_baseline baseline in
     match mode with
-    | `Bechamel -> run_bechamel ()
-    | `Kernel -> print_kernel_bench ?baseline ~scale ()
-    | `Comm -> print_comm_bench ?baseline ~scale ()
-    | `Collective -> print_coll_bench ?baseline ~scale ()
-    | `Sweep -> print_sweep_bench ?baseline ~scale ()
-    | `Contention -> print_contention_bench ?baseline ~scale ()
+    | `Kernel -> kernel_bench ?baseline ~scale ()
+    | `Comm -> comm_bench ?baseline ~scale ()
+    | `Collective -> coll_bench ?baseline ~scale ()
+    | `Sweep -> sweep_bench ?baseline ~scale ()
+    | `Contention -> contention_bench ?baseline ~scale ()
     | `Report ->
         print_report ~scale ();
-        if scale = `Test then print_kernel_bench ?baseline ~scale ()
+        if scale = `Test then kernel_bench ?baseline ~scale ()
   in
   Cmd.v
     (Cmd.info "bench" ~version:"1.0.0"

@@ -3,12 +3,15 @@
     parallel simulator (reading local blocks with fringes) and the
     sequential oracle (reading global storage).
 
-    Two execution paths coexist. The per-point path interprets the
-    expression tree cell by cell and doubles as the differential-testing
-    oracle. The row path compiles the expression once into loops over
-    contiguous Bigarray rows; every row kernel performs the exact same
-    floating-point operation sequence per cell as the per-point path, so
-    the two are bit-identical (see test/test_props.ml).
+    Two execution paths coexist, both behind one plan type. The
+    per-point path ([plan_assign ~row:false], or the fallback when the
+    row compiler declines) interprets the expression tree cell by cell
+    through {!compile_env} and is the reference the engine and
+    sequential-oracle properties compare against. The row path compiles
+    the expression once into loops over contiguous Bigarray rows; every
+    row kernel performs the exact same floating-point operation sequence
+    per cell as the per-point path, so the two are bit-identical (see
+    test/test_props.ml).
 
     Compiled plans are {e store-agnostic}: they capture only layout
     (array ids, flat shifts computed from strides), operator structure
@@ -23,51 +26,6 @@
 module A1 = Bigarray.Array1
 
 type buf = Store.buf
-
-type ctx = {
-  read : int -> int array -> float;  (** array id, global coordinates *)
-  scalar : int -> float;  (** numeric scalar value *)
-}
-
-(** [compile ctx e] builds a closure evaluating [e] at a global point. The
-    point buffer passed in is never retained. *)
-let rec compile (ctx : ctx) (e : Zpl.Prog.aexpr) : int array -> float =
-  match e with
-  | Zpl.Prog.AConst c -> fun _ -> c
-  | Zpl.Prog.AScalar id -> fun _ -> ctx.scalar id
-  | Zpl.Prog.AIndex d -> fun p -> float_of_int p.(d)
-  | Zpl.Prog.ARef (aid, off) ->
-      if Array.for_all (fun d -> d = 0) off then fun p -> ctx.read aid p
-      else
-        let n = Array.length off in
-        let scratch = Array.make n 0 in
-        fun p ->
-          for k = 0 to n - 1 do
-            scratch.(k) <- p.(k) + off.(k)
-          done;
-          ctx.read aid scratch
-  | Zpl.Prog.ABin (op, a, b) -> (
-      let fa = compile ctx a and fb = compile ctx b in
-      match op with
-      | Zpl.Ast.Add -> fun p -> fa p +. fb p
-      | Zpl.Ast.Sub -> fun p -> fa p -. fb p
-      | Zpl.Ast.Mul -> fun p -> fa p *. fb p
-      | Zpl.Ast.Div -> fun p -> fa p /. fb p
-      | Zpl.Ast.Pow -> fun p -> Float.pow (fa p) (fb p)
-      | Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
-      | Zpl.Ast.Ne | Zpl.Ast.And | Zpl.Ast.Or ->
-          invalid_arg "comparison in array expression")
-  | Zpl.Prog.AUn (Zpl.Ast.Neg, a) ->
-      let fa = compile ctx a in
-      fun p -> -.fa p
-  | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> invalid_arg "'not' in array expression"
-  | Zpl.Prog.ACall (f, [ a ]) ->
-      let fa = compile ctx a in
-      fun p -> Values.apply1 f (fa p)
-  | Zpl.Prog.ACall (f, [ a; b ]) ->
-      let fa = compile ctx a and fb = compile ctx b in
-      fun p -> Values.apply2 f (fa p) (fb p)
-  | Zpl.Prog.ACall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
 
 (** Whether the rhs reads the lhs through a nonzero shift — the case where
     in-place evaluation would observe freshly written cells, so the
@@ -106,15 +64,6 @@ let run_region ~(write : int array -> float -> unit) ~(region : Zpl.Region.t)
     Zpl.Region.size region
   end
 
-(** Execute an array assignment over [region] (already intersected with
-    ownership by the caller). [write] stores into the lhs array. Returns
-    the number of cells updated. *)
-let exec_assign (ctx : ctx) ~(write : int array -> float -> unit)
-    ~(region : Zpl.Region.t) (a : Zpl.Prog.assign_a) : int =
-  if Zpl.Region.is_empty region then 0
-  else
-    run_region ~write ~region ~buffered:(needs_buffer a) (compile ctx a.rhs)
-
 (** Fold a pre-compiled per-cell function over [region] with reduction
     operator [op]. Returns the partial (identity on empty regions) and the
     cell count. *)
@@ -126,12 +75,6 @@ let run_reduce ~(region : Zpl.Region.t) (op : Zpl.Ast.redop)
     Zpl.Region.iter region (fun p -> acc := Reduce.apply op !acc (f p));
     (!acc, Zpl.Region.size region)
   end
-
-(** Evaluate the local partial reduction of [r] over [region]. Returns the
-    partial value (identity when the region is empty) and the cell count. *)
-let exec_reduce (ctx : ctx) ~(region : Zpl.Region.t) (r : Zpl.Prog.reduce_s) :
-    float * int =
-  run_reduce ~region r.r_op (compile ctx r.r_rhs)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime environment: the store-binding contract                     *)
@@ -220,10 +163,11 @@ let make_env ~(stores : Store.t array) ~(scalar : int -> float)
     e_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0);
     e_row = Array.init 4 (fun r -> Array.make r 0) }
 
-(** Store-agnostic per-point compiler: the same value, operation by
-    operation, as {!compile} over a ctx reading the env's stores — but
-    stores, scalars and shift scratch are resolved through the [env]
-    argument at call time, so the closure can be cached and shared. *)
+(** Store-agnostic per-point compiler: a closure evaluating [e] at a
+    global point by walking the expression tree, with stores, scalars
+    and shift scratch resolved through the [env] argument at call time,
+    so the closure can be cached and shared. This is the reference the
+    row kernels are bit-identical to. *)
 let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
     env -> int array -> float =
   match e with
@@ -313,7 +257,7 @@ exception Row_fallback
 
 (** Flat base index of the row starting at [p0] read through flat shift
     [dshift]; checks the whole row stays inside the store's allocation
-    (the dynamic counterpart of {!check_refs} for the row path). *)
+    (the dynamic counterpart of {!check_ref_bounds} for the row path). *)
 let ref_base (s : Store.t) (dshift : int) (p0 : int array) (len : int) : int =
   let base = Store.index s p0 + dshift in
   if base < 0 || base + len > Store.length s then
@@ -1343,34 +1287,6 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
   | RowRed (slot, src) -> fold_rows env ~slot op src region
   | PointRed f -> run_reduce ~region op (fun p -> f env p)
 
-(** Runtime validation that every shifted read of [e] over [region] stays
-    inside the referenced array's allocated storage — the dynamic
-    counterpart of the checker's static shift-bounds test, needed for
-    loop-variant regions. [alloc_of] maps an array id to its allocated
-    region on this executor. *)
-let check_refs ~(region : Zpl.Region.t) ~(alloc_of : int -> Zpl.Region.t)
-    (e : Zpl.Prog.aexpr) =
-  if not (Zpl.Region.is_empty region) then begin
-    let rec go = function
-      | Zpl.Prog.AConst _ | Zpl.Prog.AScalar _ | Zpl.Prog.AIndex _ -> ()
-      | Zpl.Prog.ARef (aid, off) ->
-          let target = Zpl.Region.shift region off in
-          if not (Zpl.Region.subset target (alloc_of aid)) then
-            Fmt.failwith
-              "shifted read of array %d over %s reaches %s, outside allocated %s"
-              aid
-              (Zpl.Region.to_string region)
-              (Zpl.Region.to_string target)
-              (Zpl.Region.to_string (alloc_of aid))
-      | Zpl.Prog.ABin (_, a, b) ->
-          go a;
-          go b
-      | Zpl.Prog.AUn (_, a) -> go a
-      | Zpl.Prog.ACall (_, args) -> List.iter go args
-    in
-    go e
-  end
-
 (** The distinct (array, shift) reads of an expression, extracted once
     at plan time so the per-execution bounds check — still needed on
     every execution for loop-variant regions — walks a short array
@@ -1393,8 +1309,11 @@ let refs_of (e : Zpl.Prog.aexpr) : refs =
   go e;
   Array.of_list !acc
 
-(** Allocation-free fast path of {!check_refs} over pre-extracted reads,
-    against the allocations of the executor's stores. *)
+(** Runtime validation that every read of [rs] over [region] stays
+    inside the referenced array's allocation in the executor's [stores]
+    — the dynamic counterpart of the checker's static shift-bounds test,
+    needed for loop-variant regions. Allocation-free; raises [Failure] on
+    a violation. *)
 let check_ref_bounds ~(region : Zpl.Region.t) ~(stores : Store.t array)
     (rs : refs) =
   if Array.length rs > 0 && not (Zpl.Region.is_empty region) then begin

@@ -3,14 +3,17 @@
     between the parallel simulator (reading local blocks with fringes)
     and the sequential oracle (reading global storage).
 
-    Two execution paths coexist. The {e per-point} path interprets the
-    expression tree cell by cell and doubles as the differential-testing
-    oracle. The {e row} path compiles the expression once into tight
-    loops over contiguous float64 Bigarray rows; every row kernel
-    performs the exact same floating-point operation sequence per cell
-    as the per-point path, so the two are bit-identical (property-tested
-    in [test/test_props.ml]). Each array statement runs its own plan;
-    there is no statement fusion (DESIGN.md section 5 says why).
+    Two execution paths coexist behind one {!plan} type. The
+    {e per-point} path ([plan_assign ~row:false], and the fallback when
+    the row compiler declines) interprets the expression tree cell by
+    cell and is the reference the engine and sequential-oracle
+    properties compare against. The {e row} path compiles the expression
+    once into tight loops over contiguous float64 Bigarray rows; every
+    row kernel performs the exact same floating-point operation sequence
+    per cell as the per-point path, so the two are bit-identical
+    (property-tested in [test/test_props.ml]). Each array statement runs
+    its own plan; there is no statement fusion (DESIGN.md section 5 says
+    why).
 
     {b The store-binding contract.} Compiled plans are store-agnostic:
     a plan may capture array ids, flat shifts (computed against the
@@ -23,38 +26,11 @@
     set may therefore be shared by many concurrent executors, each with
     its own env. *)
 
-(* --- per-point path --- *)
-
-type ctx = {
-  read : int -> int array -> float;  (** array id, global coordinates *)
-  scalar : int -> float;  (** numeric scalar value *)
-}
-
-(** [compile ctx e] builds a closure evaluating [e] at a global point.
-    The point buffer passed in is never retained. *)
-val compile : ctx -> Zpl.Prog.aexpr -> int array -> float
-
 (** Whether the rhs reads the lhs through a nonzero shift — the case
     where in-place evaluation would observe freshly written cells, so
     the assignment must evaluate into a buffer first (array
     semantics). *)
 val needs_buffer : Zpl.Prog.assign_a -> bool
-
-(** Execute an array assignment over [region] (already intersected with
-    ownership by the caller) on the per-point path. [write] stores into
-    the lhs array. Returns the number of cells updated. *)
-val exec_assign :
-  ctx ->
-  write:(int array -> float -> unit) ->
-  region:Zpl.Region.t ->
-  Zpl.Prog.assign_a ->
-  int
-
-(** Local partial of a reduction over [region] on the per-point path:
-    (partial, cells). The partial is the operator's identity when the
-    region is empty. *)
-val exec_reduce :
-  ctx -> region:Zpl.Region.t -> Zpl.Prog.reduce_s -> float * int
 
 (* --- workspace and runtime environment --- *)
 
@@ -130,17 +106,6 @@ val exec_rplan :
 
 (* --- dynamic bounds checking --- *)
 
-(** Runtime validation that every shifted read of [e] over [region]
-    stays inside the referenced array's allocated storage — the dynamic
-    counterpart of the checker's static shift-bounds test, needed for
-    loop-variant regions. [alloc_of] maps an array id to its allocated
-    region on this executor. Raises [Failure] on a violation. *)
-val check_refs :
-  region:Zpl.Region.t ->
-  alloc_of:(int -> Zpl.Region.t) ->
-  Zpl.Prog.aexpr ->
-  unit
-
 (** The distinct (array, shift) reads of an expression, extracted once
     at plan time so the per-execution bounds check walks a short array
     instead of the whole AST. *)
@@ -148,8 +113,10 @@ type refs = (int * int array) array
 
 val refs_of : Zpl.Prog.aexpr -> refs
 
-(** Allocation-free fast path of {!check_refs} over pre-extracted
-    reads, against the allocated regions of [stores] (indexed by array
-    id); same checks, same errors. *)
+(** Runtime validation that every read of [rs] over [region] stays
+    inside the referenced array's allocated region in [stores] (indexed
+    by array id) — the dynamic counterpart of the checker's static
+    shift-bounds test, needed for loop-variant regions. Allocation-free;
+    raises [Failure] on a violation. *)
 val check_ref_bounds :
   region:Zpl.Region.t -> stores:Store.t array -> refs -> unit

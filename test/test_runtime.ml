@@ -1,6 +1,6 @@
 (** Runtime tests: mesh layout, local stores with fringes, halo piece
-    arithmetic (including diagonal transfers and mesh edges), kernel
-    compilation, and scalar evaluation. *)
+    arithmetic (including diagonal transfers and mesh edges), per-point
+    kernel plans and runtime bounds checks, and scalar evaluation. *)
 
 open Commopt
 module R = Zpl.Region
@@ -148,20 +148,39 @@ let test_halo_wide_offset () =
 (* Kernels and scalar values                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Run one assignment over [region] through a per-point plan, the
+   reference path of [Kernel.plan_assign], with [stores] bound by array
+   id. Returns the number of cells updated. *)
+let exec_point ~stores ~scalar (a : Zpl.Prog.assign_a) region =
+  let ws = Runtime.Kernel.make_ws () in
+  let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
+  let plan = Runtime.Kernel.plan_assign ~row:false rc a in
+  let env =
+    Runtime.Kernel.make_env ~stores ~scalar (Runtime.Kernel.ws_spec ws)
+  in
+  Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(a.lhs) ~region
+
 let test_kernel_eval () =
   let store = Runtime.Store.make info2 ~owned:(r2 0 9 0 9) ~fringe:0 in
+  let out =
+    Runtime.Store.make { info2 with a_id = 1; a_name = "B" }
+      ~owned:(r2 0 9 0 9) ~fringe:0
+  in
   R.iter (r2 0 9 0 9) (fun p ->
       Runtime.Store.set store p (float_of_int ((10 * p.(0)) + p.(1))));
-  let ctx =
-    { Runtime.Kernel.read = (fun _ p -> Runtime.Store.get store p);
-      scalar = (fun _ -> 2.0) }
-  in
-  let e =
+  let rhs =
     (* A@[0,1] * s + Index1 *)
     Zpl.Prog.(ABin (Zpl.Ast.Add, ABin (Zpl.Ast.Mul, ARef (0, [| 0; 1 |]), AScalar 0), AIndex 0))
   in
-  let f = Runtime.Kernel.compile ctx e in
-  Alcotest.(check (float 1e-12)) "at (3,4)" ((35. *. 2.) +. 3.) (f [| 3; 4 |])
+  let at = r2 3 3 4 4 in
+  let cells =
+    exec_point ~stores:[| store; out |] ~scalar:(fun _ -> 2.0)
+      { region = Zpl.Prog.dregion_of_region at; lhs = 1; rhs; flops = 2 }
+      at
+  in
+  Alcotest.(check int) "cells" 1 cells;
+  Alcotest.(check (float 1e-12)) "at (3,4)" ((35. *. 2.) +. 3.)
+    (Runtime.Store.get out [| 3; 4 |])
 
 let test_buffered_assignment () =
   (* A := A@west over a row must read pre-assignment values (array
@@ -175,14 +194,8 @@ let test_buffered_assignment () =
       flops = 1 }
   in
   Alcotest.(check bool) "needs buffer" true (Runtime.Kernel.needs_buffer a);
-  let ctx =
-    { Runtime.Kernel.read = (fun _ p -> Runtime.Store.get store p);
-      scalar = (fun _ -> 0.) }
-  in
   let cells =
-    Runtime.Kernel.exec_assign ctx
-      ~write:(fun p v -> Runtime.Store.set store p v)
-      ~region:(r2 5 5 1 9) a
+    exec_point ~stores:[| store |] ~scalar:(fun _ -> 0.) a (r2 5 5 1 9)
   in
   Alcotest.(check int) "cells" 9 cells;
   (* every cell got its WEST neighbor's original value *)
@@ -190,12 +203,11 @@ let test_buffered_assignment () =
     (Runtime.Store.get store [| 5; 9 |])
 
 let test_check_refs_catches () =
+  let stores = [| Runtime.Store.make info2 ~owned:(r2 0 9 0 9) ~fringe:0 |] in
+  let north = Runtime.Kernel.refs_of (Zpl.Prog.ARef (0, [| -1; 0 |])) in
+  Runtime.Kernel.check_ref_bounds ~region:(r2 1 1 0 9) ~stores north;
   Alcotest.(check bool) "raises" true
-    (match
-       Runtime.Kernel.check_refs ~region:(r2 0 0 0 9)
-         ~alloc_of:(fun _ -> r2 0 9 0 9)
-         (Zpl.Prog.ARef (0, [| -1; 0 |]))
-     with
+    (match Runtime.Kernel.check_ref_bounds ~region:(r2 0 0 0 9) ~stores north with
     | () -> false
     | exception Failure _ -> true)
 
