@@ -98,7 +98,9 @@ type partner_pieces = {
     neighbor deltas reach distinct processors — is the {e canonical
     message layout}: the sender packs and the receiver unpacks staging
     buffers in exactly this order, so both sides of a message agree on
-    every member piece's offset by construction. *)
+    every member piece's offset by construction. The engine computes
+    only the [`Recv] sides and derives the [`Send] ones with
+    {!send_sides}. *)
 let partner_sides (l : Layout.t) (prog : Zpl.Prog.t) ~(arrays : int list)
     ~(off : int * int) ~p ~(dir : [ `Send | `Recv ]) : partner_pieces list =
   let triples =
@@ -125,3 +127,24 @@ let partner_sides (l : Layout.t) (prog : Zpl.Prog.t) ~(arrays : int list)
         pp_rects = List.map (fun (_, aid, rect, _) -> (aid, rect)) mine;
         pp_cells = List.fold_left (fun n (_, _, _, c) -> n + c) 0 mine })
     partners
+
+(** Every processor's send sides, derived from all receive sides
+    ([recvs.(q)] is [partner_sides ~dir:`Recv ~p:q]) instead of
+    recomputed. A send piece is the exact dual of its receiver's piece
+    ({!send_pieces} recomputes the receiver's geometry to find it), so
+    the side [p] sends to [q] is [q]'s receive side from [p] with the
+    partner swapped: same rects in the same member order, same cells.
+    Walking the receivers in ascending rank order lists each sender's
+    sides in ascending partner order — equal to
+    [partner_sides ~dir:`Send ~p], order included. *)
+let send_sides (recvs : partner_pieces list array) : partner_pieces list array =
+  let sends = Array.make (Array.length recvs) [] in
+  Array.iteri
+    (fun q sides ->
+      List.iter
+        (fun pp ->
+          let p = pp.pp_partner in
+          sends.(p) <- { pp with pp_partner = q } :: sends.(p))
+        sides)
+    recvs;
+  Array.map List.rev sends

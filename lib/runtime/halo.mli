@@ -52,7 +52,9 @@ type partner_pieces = {
 (** Group the send or receive pieces of a (possibly combined) transfer by
     partner. The rect order within a partner is the canonical message
     layout: sender and receiver pack/unpack staging buffers in this order,
-    so both sides agree on every member piece's offset by construction. *)
+    so both sides agree on every member piece's offset by construction.
+    The engine computes only the [`Recv] sides and derives the [`Send]
+    ones with {!send_sides}. *)
 val partner_sides :
   Layout.t ->
   Zpl.Prog.t ->
@@ -61,3 +63,11 @@ val partner_sides :
   p:int ->
   dir:[ `Send | `Recv ] ->
   partner_pieces list
+
+(** [send_sides recvs], where [recvs.(q)] is
+    [partner_sides ~dir:`Recv ~p:q] for every processor [q], derives
+    every processor's send sides without recomputing any geometry: the
+    side [p] sends to [q] is [q]'s receive side from [p] with the
+    partner swapped. Each list is in ascending partner order, so
+    [(send_sides recvs).(p)] equals [partner_sides ~dir:`Send ~p]. *)
+val send_sides : partner_pieces list array -> partner_pieces list array

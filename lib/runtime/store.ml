@@ -26,6 +26,7 @@ let owned (s : t) = s.owned
 let alloc (s : t) = s.alloc
 let rank (s : t) = Array.length s.strides
 let stride (s : t) d = s.strides.(d)
+let strides (s : t) = Array.copy s.strides
 let length (s : t) = Bigarray.Array1.dim s.data
 let read_only (s : t) : buf = s.data
 let unsafe_data (s : t) : buf = s.data

@@ -42,6 +42,10 @@ val rank : t -> int
 (** Flat-index stride of dimension [d]; the innermost stride is 1. *)
 val stride : t -> int -> int
 
+(** All strides, outermost first (a copy): the store geometry a
+    compiled row kernel depends on. *)
+val strides : t -> int array
+
 (** Total number of allocated cells. *)
 val length : t -> int
 

@@ -35,24 +35,23 @@ let blits (p : t) = Array.length p.len
     the local allocs differ — but the staging offsets agree because the
     rects and their order do. *)
 let build ~(stores : Store.t array) (rects : (int * Zpl.Region.t) list) : t =
-  let aids = ref [] and soffs = ref [] and goffs = ref [] and lens = ref [] in
-  let n = ref 0 and total = ref 0 in
+  (* count the rows first, then fill preallocated descriptor arrays:
+     no per-row list cells, no list-to-array copies *)
+  let n = List.fold_left (fun n (_, r) -> n + Zpl.Region.rows r) 0 rects in
+  let aid = Array.make n 0 and store_off = Array.make n 0 in
+  let stage_off = Array.make n 0 and len = Array.make n 0 in
+  let k = ref 0 and total = ref 0 in
   List.iter
-    (fun (aid, rect) ->
-      Store.row_blits stores.(aid) rect (fun base len ->
-          aids := aid :: !aids;
-          soffs := base :: !soffs;
-          goffs := !total :: !goffs;
-          lens := len :: !lens;
-          incr n;
-          total := !total + len))
+    (fun (a, rect) ->
+      Store.row_blits stores.(a) rect (fun base l ->
+          aid.(!k) <- a;
+          store_off.(!k) <- base;
+          stage_off.(!k) <- !total;
+          len.(!k) <- l;
+          incr k;
+          total := !total + l))
     rects;
-  let rev l = Array.of_list (List.rev l) in
-  { aid = rev !aids;
-    store_off = rev !soffs;
-    stage_off = rev !goffs;
-    len = rev !lens;
-    cells = !total }
+  { aid; store_off; stage_off; len; cells = !total }
 
 (* The copy loops are manual element loops for the same reason as
    [Store.blit_rows]: at halo row lengths, [Array1.sub]+[blit] cost more

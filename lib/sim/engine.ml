@@ -86,15 +86,14 @@ type cside = {
     shape-only stores, so it depends only on the layout, never on cell
     data) plus everything needed to mint the per-engine pool.
     [b_link] on receive sides is the index of the matching side in the
-    sender's send array, resolved and validated once at {!plan} time; it
-    is written during linking and frozen thereafter. *)
+    sender's send array, fixed by {!build_wblue}; [-1] on send sides. *)
 type wblue = {
   b_partner : int;
   b_bytes : int;
   b_cells : int;
   b_plan : Runtime.Wireplan.t;
   b_route : int array;  (** link ids to [b_partner]; [[||]] under ideal *)
-  mutable b_link : int;
+  b_link : int;
 }
 
 type wbpair = { b_recv : wblue array; b_send : wblue array }
@@ -121,8 +120,8 @@ type ckern =
 type kprog = {
   k_ops : ckern array;  (** per op index *)
   k_spec : Runtime.Kernel.envspec;
-      (** workspace requirements of this rank's plans; {!of_plans}
-          mints one {!Runtime.Kernel.env} per engine from it *)
+      (** workspace requirements of this program's plans; {!of_plans}
+          mints one {!Runtime.Kernel.env} per rank from it *)
 }
 
 (** Everything the engine needs that does not depend on run-time
@@ -151,9 +150,11 @@ type plans = {
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : kprog array;
-      (** per rank: the compiled, store-agnostic kernel program. Ranks
-          need distinct plans because uneven block splits give their
-          stores different strides, so the flat shifts differ. *)
+      (** per rank: the compiled, store-agnostic kernel program, built
+          once per stride signature. Ranks whose stores have equal
+          per-array strides share one program physically; uneven block
+          splits give some ranks other strides, hence other flat
+          shifts, and those get their own. *)
 }
 
 (* Blocked-state encoding. An option-of-variant would allocate on every
@@ -305,64 +306,45 @@ exception Instruction_limit of int
 (* ------------------------------------------------------------------ *)
 
 (** Compile the wire blueprints of one transfer: per processor, per
-    partner, the blit descriptors against shape-only stores. *)
+    partner, the blit descriptors against shape-only stores. Only the
+    receive sides are computed from the layout; the send sides are
+    their duals ({!Runtime.Halo.send_sides}), in ascending partner
+    order — the order link grants follow. A sender's list is ordered by
+    receiver rank, so a receive side's [b_link] is the number of lower
+    ranks that receive from the same sender. *)
 let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
     (x : Ir.Transfer.t) ~(shapes : Runtime.Store.t array array)
     ~(topo : Machine.Topology.t) ~pr ~pc : wbpair array =
-  let collect p dir =
+  let nprocs = Array.length shapes in
+  let blues p sides link =
     Array.of_list
       (List.map
          (fun (pp : Runtime.Halo.partner_pieces) ->
-           { b_partner = pp.Runtime.Halo.pp_partner;
+           let q = pp.Runtime.Halo.pp_partner in
+           { b_partner = q;
              b_bytes = 8 * pp.Runtime.Halo.pp_cells;
              b_cells = pp.Runtime.Halo.pp_cells;
              b_plan =
                Runtime.Wireplan.build ~stores:shapes.(p)
                  pp.Runtime.Halo.pp_rects;
-             b_route =
-               Machine.Topology.route topo ~pr ~pc ~src:p
-                 ~dst:pp.Runtime.Halo.pp_partner;
-             b_link = -1 })
-         (Runtime.Halo.partner_sides layout prog ~arrays:x.Ir.Transfer.arrays
-            ~off:x.Ir.Transfer.off ~p ~dir))
+             b_route = Machine.Topology.route topo ~pr ~pc ~src:p ~dst:q;
+             b_link = link q })
+         sides)
   in
-  Array.init (Array.length shapes) (fun p ->
-      { b_recv = collect p `Recv; b_send = collect p `Send })
-
-(** Resolve every receive blueprint's [b_link] to the matching side in
-    the sender's send array, and check that both ends compiled the same
-    staging layout. Runs once at {!plan} time; {!of_plans} only follows
-    the recorded indices. *)
-let link_wblue (xi : int) (bp : wbpair array) =
-  Array.iteri
-    (fun p pair ->
-      Array.iter
-        (fun (rb : wblue) ->
-          let sender = bp.(rb.b_partner) in
-          let link = ref (-1) in
-          Array.iteri
-            (fun i (sb : wblue) -> if sb.b_partner = p then link := i)
-            sender.b_send;
-          if !link < 0 then
-            Fmt.failwith
-              "Engine.plan: transfer %d: proc %d expects data from %d, \
-               which plans no send back"
-              xi p rb.b_partner;
-          let sb = sender.b_send.(!link) in
-          if
-            Runtime.Wireplan.cells sb.b_plan
-            <> Runtime.Wireplan.cells rb.b_plan
-            || sb.b_bytes <> rb.b_bytes
-          then
-            Fmt.failwith
-              "Engine.plan: transfer %d: procs %d and %d disagree on \
-               the message layout (%d vs %d cells)"
-              xi rb.b_partner p
-              (Runtime.Wireplan.cells sb.b_plan)
-              (Runtime.Wireplan.cells rb.b_plan);
-          rb.b_link <- !link)
-        pair.b_recv)
-    bp
+  let recvs =
+    Array.init nprocs (fun p ->
+        Runtime.Halo.partner_sides layout prog ~arrays:x.Ir.Transfer.arrays
+          ~off:x.Ir.Transfer.off ~p ~dir:`Recv)
+  in
+  let sends = Runtime.Halo.send_sides recvs in
+  let nlinked = Array.make nprocs 0 in
+  let next q =
+    nlinked.(q) <- nlinked.(q) + 1;
+    nlinked.(q) - 1
+  in
+  Array.init nprocs (fun p ->
+      { b_recv = blues p recvs.(p) next;
+        b_send = blues p sends.(p) (fun _ -> -1) })
 
 (** Index of the (source, transfer, kind) slot in a proc's dense mailbox
     array. *)
@@ -377,20 +359,20 @@ let plan ?(row_path = true)
   let prog = flat.Ir.Flat.prog in
   let layout = Runtime.Layout.for_program ~pr ~pc prog in
   let nprocs = Runtime.Layout.nprocs layout in
-  (* fringe shifts must stay within adjacent blocks *)
-  let max_off =
-    Array.fold_left
-      (fun m (x : Ir.Transfer.t) ->
-        let d0, d1 = x.off in
-        max m (max (abs d0) (abs d1)))
-      0 flat.Ir.Flat.transfers
-  in
+  (* fringe shifts must stay within adjacent blocks, per dimension *)
   let mr, mc = Runtime.Layout.min_block_extent layout in
-  if max_off > min mr mc then
-    Fmt.invalid_arg
-      "Engine.plan: shift magnitude %d exceeds the smallest block extent \
-       (%d x %d) of a %dx%d mesh"
-      max_off mr mc pr pc;
+  Array.iter
+    (fun (x : Ir.Transfer.t) ->
+      let d0, d1 = x.off in
+      List.iter
+        (fun (dim, d, ext) ->
+          if abs d > ext then
+            Fmt.invalid_arg
+              "Engine.plan: %s shift magnitude %d exceeds the smallest %s \
+               block extent %d of a %dx%d mesh"
+              dim (abs d) dim ext pr pc)
+        [ ("row", d0, mr); ("column", d1, mc) ])
+    flat.Ir.Flat.transfers;
   let fringe = Zpl.Prog.fringe_widths prog in
   let colls =
     Array.map (fun (x : Ir.Transfer.t) -> x.Ir.Transfer.coll)
@@ -447,7 +429,6 @@ let plan ?(row_path = true)
         else build_wblue layout prog x ~shapes ~topo:topology ~pr ~pc)
       flat.Ir.Flat.transfers
   in
-  Array.iteri link_wblue p_wblue;
   let p_cblue =
     Array.map
       (fun (x : Ir.Transfer.t) ->
@@ -469,31 +450,42 @@ let plan ?(row_path = true)
       flat.Ir.Flat.transfers
   in
   let ops = flat.Ir.Flat.ops in
-  (* Store-agnostic kernel compilation, once per rank at plan time.
-     Engines minted from this plan set never compile kernels — they
-     bind stores through a per-engine env. *)
+  (* Store-agnostic kernel compilation, once per stride signature. The
+     row compiler reads only each compile-time store's rank and strides
+     (to flatten shifts) and the per-point compiler reads no geometry,
+     so ranks whose stores have equal per-array strides share one
+     physical program. Engines minted from this plan set never compile
+     kernels — they bind stores through a per-rank env. *)
+  let compiled = Hashtbl.create 8 in
+  let compile stores =
+    let ws = Runtime.Kernel.make_ws () in
+    let rc = { Runtime.Kernel.rstore = Array.get stores; rws = ws } in
+    let k_ops =
+      Array.map
+        (function
+          | Ir.Flat.FKernel a ->
+              KAssign (Runtime.Kernel.plan_assign ~row:row_path rc a)
+          | Ir.Flat.FReduce r ->
+              KReduce (Runtime.Kernel.plan_reduce ~row:row_path rc r)
+          | Ir.Flat.FCollPart w ->
+              KReduce
+                (Runtime.Kernel.plan_reduce ~row:row_path rc w.Ir.Instr.cw_red)
+          | _ -> KNone)
+        ops
+    in
+    { k_ops; k_spec = Runtime.Kernel.ws_spec ws }
+  in
   let p_kern =
-    Array.init nprocs (fun rank ->
-        let ws = Runtime.Kernel.make_ws () in
-        let rc =
-          { Runtime.Kernel.rstore = (fun aid -> shapes.(rank).(aid));
-            rws = ws }
-        in
-        let k_ops =
-          Array.map
-            (function
-              | Ir.Flat.FKernel a ->
-                  KAssign (Runtime.Kernel.plan_assign ~row:row_path rc a)
-              | Ir.Flat.FReduce r ->
-                  KReduce (Runtime.Kernel.plan_reduce ~row:row_path rc r)
-              | Ir.Flat.FCollPart w ->
-                  KReduce
-                    (Runtime.Kernel.plan_reduce ~row:row_path rc
-                       w.Ir.Instr.cw_red)
-              | _ -> KNone)
-            ops
-        in
-        { k_ops; k_spec = Runtime.Kernel.ws_spec ws })
+    Array.map
+      (fun stores ->
+        let key = Array.map Runtime.Store.strides stores in
+        match Hashtbl.find_opt compiled key with
+        | Some k -> k
+        | None ->
+            let k = compile stores in
+            Hashtbl.add compiled key k;
+            k)
+      shapes
   in
   { p_flat = flat;
     p_machine = machine;
@@ -684,6 +676,12 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   t
 
 let shared_plans (t : t) = t.shared
+
+let kernel_programs (sp : plans) =
+  Array.fold_left
+    (fun seen k -> if List.memq k seen then seen else k :: seen)
+    [] sp.p_kern
+  |> List.length
 
 (* ------------------------------------------------------------------ *)
 (* Mail and the runnable ring                                          *)

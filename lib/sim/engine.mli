@@ -25,14 +25,17 @@ exception Instruction_limit of int
 
 (** The immutable, shareable half of an engine: the compiled comm
     schedule bound to a layout, the wire blit plans, the collective role
-    tables, the reference-check tables, and the per-rank
-    store-agnostic kernel programs (one row plan per statement,
-    compiled against shape-only stores — see the store-binding contract
-    in [Runtime.Kernel]). Engines minted from one [plans] value by
-    {!of_plans} share all of it physically ([==]); only per-engine
-    mutable state (stores, kernel workspaces, mailboxes, staging pools,
-    statistics) is rebuilt — {e no kernel compilation happens at mint
-    time}. This is the unit [Run.Cache] stores, keyed by [Run.Spec]. *)
+    tables, the reference-check tables, and the store-agnostic kernel
+    programs (one row plan per statement, compiled against shape-only
+    stores — see the store-binding contract in [Runtime.Kernel]). A
+    kernel program is compiled once per stride signature, not once per
+    rank: ranks whose stores have equal per-array strides share it
+    physically (see {!kernel_programs}). Engines minted from one
+    [plans] value by {!of_plans} share all of it physically ([==]);
+    only per-engine mutable state (stores, kernel workspaces,
+    mailboxes, staging pools, statistics) is rebuilt — {e no kernel
+    compilation happens at mint time}. This is the unit [Run.Cache]
+    stores, keyed by [Run.Spec]. *)
 type plans
 
 (** [plan ~machine ~lib ~pr ~pc flat] compiles every artifact of an
@@ -42,9 +45,10 @@ type plans
     forces the per-point kernels everywhere — the reference the row
     kernels are compared against.
 
-    Raises [Invalid_argument] if a stencil shift exceeds the smallest
-    block extent of the mesh, or if a synthesized collective round was
-    compiled for a different mesh. *)
+    Raises [Invalid_argument] if a stencil shift's row (column)
+    component exceeds the smallest row (column) block extent of the
+    mesh, or if a synthesized collective round was compiled for a
+    different mesh. *)
 val plan :
   ?row_path:bool ->
   ?topology:Machine.Topology.t ->
@@ -57,9 +61,9 @@ val plan :
 
 (** [of_plans plans] readies one virtual processor per mesh point:
     fresh stores, kernel workspaces, mailboxes, staging pools and
-    statistics around the shared compiled artifacts. The per-rank
-    kernel programs in [plans] are bound to the fresh stores through a
-    [Runtime.Kernel.env] — store binding, not recompilation, so a
+    statistics around the shared compiled artifacts. Each rank binds
+    its fresh stores to its (possibly shared) kernel program through
+    its own [Runtime.Kernel.env] — store binding, not recompilation, so a
     cache hit mints a ready-to-run engine. [limit] bounds instructions {e per
     processor} (default [1e9]); it does not affect the compiled
     artifacts, which is why it lives here and not in the cache key. *)
@@ -69,6 +73,12 @@ val of_plans : ?limit:int -> plans -> t
     answer with physically equal ([==]) values iff they share plans —
     the cache-hit property [Run.Cache]'s tests assert. *)
 val shared_plans : t -> plans
+
+(** The number of physically distinct kernel programs in [plans]: one
+    per distinct stride signature of the ranks' stores. It is 1 when
+    every rank's block of every array has the same allocated width
+    (each paper benchmark on its 8x8 mesh), more on uneven splits. *)
+val kernel_programs : plans -> int
 
 type result = {
   time : float;  (** makespan over processors *)

@@ -231,6 +231,53 @@ let test_snapshot_under_lag () =
   Alcotest.(check int) "sender ran the whole loop ahead" iters fresh;
   Alcotest.(check int) "no buffer was recycled while in flight" 0 reused
 
+(* ------------------------------------------------------------------ *)
+(* Send sides derived from receive sides                               *)
+(* ------------------------------------------------------------------ *)
+
+(** The engine computes only receive sides and derives the send sides
+    from them ([Halo.send_sides]). For every halo transfer of every
+    corpus program under every optimizer row, on even, uneven and
+    degenerate meshes, the derived sides must equal a direct
+    [partner_sides ~dir:`Send]: same partners in the same order, same
+    (array, rect) lists, same cell counts. *)
+let test_send_sides_derived () =
+  let checked = ref 0 and combined = ref 0 in
+  List.iter
+    (fun (b : Programs.Bench_def.t) ->
+      let prog = Programs.Suite.compile b in
+      List.iter
+        (fun config ->
+          List.iter
+            (fun (pr, pc) ->
+              let layout = Runtime.Layout.for_program ~pr ~pc prog in
+              let n = Runtime.Layout.nprocs layout in
+              let flat =
+                Ir.Flat.flatten
+                  (Opt.Passes.compile ~mesh:(pr, pc) config prog)
+              in
+              Array.iteri
+                (fun xi (x : Ir.Transfer.t) ->
+                  if not (Ir.Transfer.is_coll x) then begin
+                    let sides dir =
+                      Array.init n (fun p ->
+                          Runtime.Halo.partner_sides layout prog
+                            ~arrays:x.Ir.Transfer.arrays ~off:x.Ir.Transfer.off
+                            ~p ~dir)
+                    in
+                    incr checked;
+                    if List.length x.Ir.Transfer.arrays > 1 then incr combined;
+                    if Runtime.Halo.send_sides (sides `Recv) <> sides `Send then
+                      Alcotest.failf "%s %dx%d: transfer %d: derived send \
+                                      sides differ" b.name pr pc xi
+                  end)
+                flat.Ir.Flat.transfers)
+            [ (2, 2); (3, 3); (1, 4); (4, 2); (8, 1) ])
+        [ Opt.Config.baseline; Opt.Config.rr_only; Opt.Config.cc_cum;
+          Opt.Config.pl_cum; Opt.Config.pl_max_latency ])
+    Programs.Suite.all;
+  Alcotest.(check bool) "combined transfers checked" true (!combined > 0)
+
 let () =
   Alcotest.run "comm runtime"
     [ ( "wire",
@@ -241,4 +288,6 @@ let () =
           Alcotest.test_case "snapshots sound under receiver lag" `Quick
             test_snapshot_under_lag;
           Alcotest.test_case "empty-region kernel calls allocate nothing"
-            `Quick test_empty_kernels_alloc_free ] ) ]
+            `Quick test_empty_kernels_alloc_free;
+          Alcotest.test_case "send sides derived from receive sides" `Quick
+            test_send_sides_derived ] ) ]

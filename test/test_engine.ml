@@ -51,15 +51,23 @@ let test_determinism () =
     r1.Sim.Engine.stats.Sim.Stats.instructions
     r2.Sim.Engine.stats.Sim.Stats.instructions
 
-let test_gather_matches_oracle () =
-  let prog = Zpl.Check.compile_string stencil_src in
+(* Every array of a finished run, gathered, equals the sequential
+   oracle's store cell for cell. *)
+let check_oracle name src (res : Sim.Engine.result) =
+  let prog = Zpl.Check.compile_string src in
   let oracle = Runtime.Seqexec.run prog in
-  let res = Sim.Engine.run (make_engine stencil_src) in
-  let g = Sim.Engine.gather res.Sim.Engine.engine 0 in
-  let sq = oracle.Runtime.Seqexec.stores.(0) in
-  Zpl.Region.iter (Zpl.Prog.array_info prog 0).a_region (fun p ->
-      let a = Runtime.Store.get sq p and b = Runtime.Store.get g p in
-      if a <> b then Alcotest.failf "cell differs: %g vs %g" a b)
+  Array.iteri
+    (fun aid (info : Zpl.Prog.array_info) ->
+      let g = Sim.Engine.gather res.Sim.Engine.engine aid in
+      let sq = oracle.Runtime.Seqexec.stores.(aid) in
+      Zpl.Region.iter info.a_region (fun p ->
+          let a = Runtime.Store.get sq p and b = Runtime.Store.get g p in
+          if a <> b then
+            Alcotest.failf "%s: %s cell differs: %g vs %g" name info.a_name b a))
+    prog.Zpl.Prog.arrays
+
+let test_gather_matches_oracle () =
+  check_oracle "2x2" stencil_src (Sim.Engine.run (make_engine stencil_src))
 
 let test_replicated_scalars_agree () =
   let res = Sim.Engine.run (make_engine stencil_src) in
@@ -100,6 +108,54 @@ procedure main(); begin [R] B := A@[-3, 0]; end;
     (match make_engine ~pr:4 ~pc:4 src with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* The shift bound is per dimension: a column shift is checked against
+   the column block extent only. On an 8x1 mesh over 12 rows the row
+   blocks are 1-2 cells tall, but every block spans all columns. *)
+let east2_src =
+  {|
+constant n = 12;
+region R = [1..n, 1..n-2];
+direction east2 = [0, 2];
+var A, B : [1..n, 1..n] float;
+procedure main();
+begin
+  [1..n, 1..n] A := Index1 + 100.0 * Index2;
+  [R] B := A@east2;
+end;
+|}
+
+let test_column_shift_tall_mesh () =
+  List.iter
+    (fun (pr, pc) ->
+      check_oracle
+        (Printf.sprintf "%dx%d" pr pc)
+        east2_src
+        (Sim.Engine.run (make_engine ~pr ~pc east2_src)))
+    [ (8, 1); (1, 4) ]
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let test_rejects_tall_row_shift () =
+  let src =
+    {|
+constant n = 12;
+region R = [1..n-2, 1..n];
+direction south2 = [2, 0];
+var A, B : [1..n, 1..n] float;
+procedure main(); begin [R] B := A@south2; end;
+|}
+  in
+  Alcotest.(check bool) "raises on 8x1" true
+    (match make_engine ~pr:8 ~pc:1 src with
+    | _ -> false
+    | exception Invalid_argument msg ->
+        contains msg "row shift magnitude 2")
 
 let test_instruction_limit () =
   (* the limit is per processor: each of the 4 procs runs well over 10
@@ -185,6 +241,40 @@ let test_paragon_machine_is_slower () =
   Alcotest.(check bool) "50 MHz Paragon slower than 150 MHz T3D" true
     (t Machine.Paragon.machine > t Machine.T3d.machine)
 
+(* Kernel programs are compiled once per stride signature: on an evenly
+   split mesh every rank shares one program, on an uneven split each
+   distinct per-array stride vector gets its own. *)
+let plans_of ~pr ~pc (b : Programs.Bench_def.t) =
+  let prog = Programs.Suite.compile ~scale:`Bench b in
+  Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr ~pc
+    (Ir.Flat.flatten (Opt.Passes.compile Opt.Config.pl_cum prog))
+
+let test_kernel_programs_paper () =
+  List.iter
+    (fun (b : Programs.Bench_def.t) ->
+      let pr, pc = b.Programs.Bench_def.bench_mesh in
+      Alcotest.(check (pair int int)) (b.name ^ " mesh") (8, 8) (pr, pc);
+      Alcotest.(check int) (b.name ^ ": one program for 64 ranks") 1
+        (Sim.Engine.kernel_programs (plans_of ~pr ~pc b)))
+    Programs.Suite.paper_benchmarks
+
+let stride_signatures (e : Sim.Engine.t) =
+  Array.map
+    (fun p -> Array.map Runtime.Store.strides (Sim.Engine.proc_stores p))
+    (Sim.Engine.procs e)
+  |> Array.to_list |> List.sort_uniq compare |> List.length
+
+let test_kernel_programs_uneven () =
+  (* stencil_src spans 10 columns, which a 3x3 mesh splits 4/3/3 *)
+  let e = make_engine ~pr:3 ~pc:3 stencil_src in
+  let plans = Sim.Engine.shared_plans e in
+  Alcotest.(check int) "one program per stride signature"
+    (stride_signatures e)
+    (Sim.Engine.kernel_programs plans);
+  Alcotest.(check int) "two signatures on the 4/3/3 split" 2
+    (Sim.Engine.kernel_programs plans);
+  check_oracle "3x3" stencil_src (Sim.Engine.run e)
+
 let () =
   Alcotest.run "engine"
     [ ( "execution",
@@ -198,6 +288,15 @@ let () =
           Alcotest.test_case "wavefront serializes" `Quick test_wavefront_serializes;
           Alcotest.test_case "shmem rendezvous" `Quick test_shmem_rendezvous_couples;
           Alcotest.test_case "machine speeds" `Quick test_paragon_machine_is_slower ] );
+      ( "kernel sharing",
+        [ Alcotest.test_case "one program on the paper specs" `Quick
+            test_kernel_programs_paper;
+          Alcotest.test_case "one program per stride signature" `Quick
+            test_kernel_programs_uneven ] );
       ( "guards",
         [ Alcotest.test_case "wide shift rejected" `Quick test_rejects_wide_shift;
+          Alcotest.test_case "column shift on a tall mesh verifies" `Quick
+            test_column_shift_tall_mesh;
+          Alcotest.test_case "row shift beyond row blocks rejected" `Quick
+            test_rejects_tall_row_shift;
           Alcotest.test_case "instruction limit" `Quick test_instruction_limit ] ) ]

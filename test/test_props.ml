@@ -337,6 +337,9 @@ let arb_halo_case =
       let* off = pair (int_range (-2) 2) (int_range (-2) 2) in
       return (pr, pc, n, off))
 
+(** Receive and send pieces are in bijection: listing every receive
+    piece as (receiver, sender, rect) and every send piece the same way
+    gives the same multiset, so each piece has exactly one dual. *)
 let prop_halo_duality =
   QCheck.Test.make ~name:"halo send/recv duality" ~count:200 arb_halo_case
     (fun (pr, pc, n, off) ->
@@ -346,17 +349,20 @@ let prop_halo_duality =
       let info =
         { Zpl.Prog.a_id = 0; a_name = "A"; a_region = space; a_rank = 2 }
       in
-      List.for_all
-        (fun p ->
-          List.for_all
-            (fun (rp : Runtime.Halo.piece) ->
-              let sends = Runtime.Halo.send_pieces l info ~p:rp.partner ~off in
-              List.exists
-                (fun (s : Runtime.Halo.piece) ->
-                  s.partner = p && Zpl.Region.equal s.rect rp.rect)
-                sends)
-            (Runtime.Halo.recv_pieces l info ~p ~off))
-        (List.init (Runtime.Layout.nprocs l) Fun.id))
+      let procs = List.init (Runtime.Layout.nprocs l) Fun.id in
+      let triples pieces swap =
+        List.concat_map
+          (fun p ->
+            List.map
+              (fun (pc : Runtime.Halo.piece) ->
+                if swap then (pc.partner, p, pc.rect)
+                else (p, pc.partner, pc.rect))
+              (pieces l info ~p ~off))
+          procs
+        |> List.sort compare
+      in
+      triples Runtime.Halo.recv_pieces false
+      = triples Runtime.Halo.send_pieces true)
 
 (** Every ghost cell needed is covered exactly once by the recv pieces. *)
 let prop_halo_covers =
@@ -782,15 +788,15 @@ let prop_seqexec_row_path =
 (* Simulator: row kernels against the per-point reference              *)
 (* ------------------------------------------------------------------ *)
 
-let engine_fingerprint ~row_path prog =
+let engine_fingerprint ~row_path ~pr ~pc prog =
   let ir = Opt.Passes.compile Opt.Config.pl_cum prog in
-  let res =
-    Sim.Engine.run
-      (Sim.Engine.of_plans
-         (Sim.Engine.plan ~row_path ~machine:Machine.T3d.machine
-            ~lib:Machine.T3d.pvm ~pr:2 ~pc:2 (Ir.Flat.flatten ir)))
+  let plans =
+    Sim.Engine.plan ~row_path ~machine:Machine.T3d.machine
+      ~lib:Machine.T3d.pvm ~pr ~pc (Ir.Flat.flatten ir)
   in
-  ( bits res.Sim.Engine.time,
+  let res = Sim.Engine.run (Sim.Engine.of_plans plans) in
+  ( Sim.Engine.kernel_programs plans,
+    bits res.Sim.Engine.time,
     res.Sim.Engine.stats,
     Array.mapi
       (fun aid _ ->
@@ -801,13 +807,21 @@ let engine_fingerprint ~row_path prog =
 (** The engine's row kernels leave simulated time, statistics and every
     array bit-identical to the per-point interpreter. The oracle check of
     [Commopt.verify] cannot catch a row-kernel bug, because the
-    sequential oracle runs row plans too. *)
+    sequential oracle runs row plans too. The generated programs span
+    10 columns: a 2x2 mesh splits them evenly (one kernel program for
+    every rank), a 3x3 mesh 4/3/3, so ranks with different strides
+    must get, and run, their own program (two of them). *)
 let prop_engine_row_path =
   QCheck.Test.make ~name:"engine: row == per-point (bitwise)" ~count:12
     arb_any_source (fun src ->
       let prog = Zpl.Check.compile_string src in
-      engine_fingerprint ~row_path:false prog
-      = engine_fingerprint ~row_path:true prog)
+      List.for_all
+        (fun (pr, pc, programs) ->
+          let ((k, _, _, _) as row) =
+            engine_fingerprint ~row_path:true ~pr ~pc prog
+          in
+          k = programs && row = engine_fingerprint ~row_path:false ~pr ~pc prog)
+        [ (2, 2, 1); (3, 3, 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel experiment grid == serial grid                      *)

@@ -281,6 +281,61 @@ let test_warm_sweep_allocation () =
         (per_spec <= warm_sweep_budget))
 
 (* ------------------------------------------------------------------ *)
+(* Cold plan: pinned minor-word budget                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Engine.plan] compiles each kernel program once per stride signature
+   and each wire side from the receive sides alone, with allocation-light
+   blit descriptors. A regression to per-rank compilation or to
+   recomputed send sides shows up as a multiple of these figures
+   (per-rank compilation cost 123.8 M and 13.8 M words here). The
+   ceilings are the measured minor words (31.63 M and 5.11 M, the
+   larger of the dev and release profiles) plus 10%; lower them, never
+   raise them, when plan gets cheaper. The flats are built outside the
+   measured window, so only [plan] is charged. *)
+let paper_plan_budget = 34_800_000.0
+let uneven_plan_budget = 5_630_000.0
+
+let plan_minor_words (specs : Run.Spec.t list) =
+  let flats =
+    List.map (fun spec -> (spec, (Run.Spec.build spec).Run.Spec.a_flat)) specs
+  in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun ((spec : Run.Spec.t), flat) ->
+      let pr, pc = spec.Run.Spec.mesh in
+      ignore
+        (Sim.Engine.plan ~topology:spec.Run.Spec.topology
+           ~machine:spec.Run.Spec.machine ~lib:spec.Run.Spec.lib ~pr ~pc flat))
+    flats;
+  Gc.minor_words () -. w0
+
+let test_cold_plan_allocation () =
+  let grid ~scale f =
+    List.concat_map
+      (fun b ->
+        List.map
+          (fun (_, config, lib) ->
+            f
+              (Report.Experiment.bench_spec ~machine:Machine.T3d.machine ~lib
+                 ~config ~scale b))
+          Report.Experiment.paper_rows)
+      Programs.Suite.paper_benchmarks
+  in
+  List.iter
+    (fun (name, specs, budget) ->
+      let words = plan_minor_words specs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: plan allocates %.0f minor words (budget %.0f)"
+           name words budget)
+        true (words <= budget))
+    [ ("paper specs on 8x8", grid ~scale:`Bench Fun.id, paper_plan_budget);
+      ( "test scale on 3x3, mesh topology",
+        grid ~scale:`Test (fun s ->
+            Run.Spec.(s |> with_mesh 3 3 |> with_topology Machine.Topology.Mesh)),
+        uneven_plan_budget ) ]
+
+(* ------------------------------------------------------------------ *)
 (* LRU eviction under a capacity bound                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -472,7 +527,9 @@ let () =
             "cached mint == fresh compile (benchmarks x rows x topologies)"
             `Slow test_cached_mint_grid;
           Alcotest.test_case "warm sweep within minor-word budget" `Quick
-            test_warm_sweep_allocation ] );
+            test_warm_sweep_allocation;
+          Alcotest.test_case "cold plan within minor-word budget" `Quick
+            test_cold_plan_allocation ] );
       ( "sweep",
         [ Alcotest.test_case "second pass hits and JSON artifact" `Quick
             test_sweep_second_pass;
