@@ -26,16 +26,21 @@
     (transfer, processor, partner) side at {!plan} time into a
     {!Runtime.Wireplan.t} — flat blit descriptors against the local
     stores — with all member-array pieces of one partner packed into a
-    single staging buffer drawn from a per-side pool. Messages travel
-    through dense ring mailboxes indexed by (source, transfer, kind),
-    and every hot-path float lives in an all-float record or float
-    array, so a steady-state communication activation allocates
-    nothing: no payload lists, no closures, no boxed floats
-    (regression-tested with [Gc.minor_words]). A staging buffer is acquired when the sender
-    packs it — the send-time snapshot of the fringe — and returns to the
-    {e sender's} pool only when the receiver unpacks it, so senders
-    running ahead simply deepen the pool to the in-flight high-water
-    mark.
+    single staging buffer drawn from a per-side pool. A synthesized
+    collective round is an ordinary transfer on this path: each rank's
+    {!Ir.Coll.role} becomes at most one receive and one send side whose
+    payload is the round's scalars, so the six call semantics, the
+    mailboxes, the pools and the deadlock diagnostic are shared, and
+    only packing (SR) and unpacking (DN) look at the round's tag.
+    Messages travel through dense ring mailboxes indexed by (source,
+    transfer, kind), and every hot-path float lives in an all-float
+    record or float array, so a steady-state communication activation
+    allocates nothing: no payload lists, no closures, no boxed floats
+    (regression-tested with [Gc.minor_words]). A staging buffer is
+    acquired when the sender packs it — the send-time snapshot of the
+    fringe — and returns to the {e sender's} pool only when the
+    receiver unpacks it, so senders running ahead simply deepen the
+    pool to the in-flight high-water mark.
 
     The network model charges per-message CPU overheads and per-byte
     copy/pack costs on the involved processors (the "software overhead"
@@ -50,8 +55,9 @@
     drain execution order, which is deterministic. *)
 
 (** One partner's share of a transfer on one processor, wire-compiled:
-    the blit plan against this processor's own stores, and the staging
-    pool buffers are drawn from. On send sides the pool is owned; on
+    the blit plan against this processor's own stores (empty for a
+    collective round, whose payload is scalars), and the staging pool
+    buffers are drawn from. On send sides the pool is owned; on
     recv sides it aliases the matching sender's pool, so releasing a
     consumed buffer returns it to where the next send will look. *)
 type wside = {
@@ -67,21 +73,6 @@ type wside = {
 
 type wplan = { w_recv : wside array; w_send : wside array }
 
-(** One rank's side of one synthesized collective round
-    ({!Ir.Coll.role}, frozen at {!plan} time): at most one send partner
-    and one receive partner, [c_count] scalar values per message. The
-    send pool is owned; the receive pool aliases the sender's, exactly
-    like {!wside}. *)
-type cside = {
-  c_to : int;  (** send partner, or -1 *)
-  c_from : int;  (** receive partner, or -1 *)
-  c_count : int;  (** scalar values per message this round *)
-  c_rto : int array;  (** link ids to [c_to] (round data) *)
-  c_rfrom : int array;  (** link ids to [c_from] (rendezvous token) *)
-  c_spool : Runtime.Wireplan.pool;
-  mutable c_rpool : Runtime.Wireplan.pool;
-}
-
 (** Immutable blueprint of one {!wside}: the blit plan (compiled against
     shape-only stores, so it depends only on the layout, never on cell
     data) plus everything needed to mint the per-engine pool.
@@ -89,25 +80,13 @@ type cside = {
     sender's send array, fixed by {!build_wblue}; [-1] on send sides. *)
 type wblue = {
   b_partner : int;
-  b_bytes : int;
-  b_cells : int;
+  b_cells : int;  (** message size in 8-byte cells *)
   b_plan : Runtime.Wireplan.t;
   b_route : int array;  (** link ids to [b_partner]; [[||]] under ideal *)
   b_link : int;
 }
 
 type wbpair = { b_recv : wblue array; b_send : wblue array }
-
-(** Immutable blueprint of one {!cside}: the rank's role in a
-    synthesized collective round ({!Ir.Coll.role}, frozen at plan
-    time). *)
-type cblue = {
-  cb_to : int;
-  cb_from : int;
-  cb_count : int;
-  cb_rto : int array;  (** link ids to [cb_to]; [[||]] under ideal *)
-  cb_rfrom : int array;  (** link ids to [cb_from]; [[||]] under ideal *)
-}
 
 (** Compiled form of one flat op on one rank: store-agnostic
     {!Runtime.Kernel} plans, built eagerly at {!plan} time against
@@ -144,9 +123,9 @@ type plans = {
   p_nx : int;  (** number of transfers *)
   p_nslots : int;  (** collective slots *)
   p_dissem : bool array;  (** per slot: needs the allgathered partials *)
-  p_wblue : wbpair array array;  (** [transfer id].(proc) *)
+  p_wblue : wbpair array array;
+      (** [transfer id].(proc), fringe transfers and collective rounds *)
   p_colls : Ir.Coll.desc option array;  (** per transfer: collective tag *)
-  p_cblue : cblue array array;  (** collective rounds: [transfer id].(proc) *)
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : kprog array;
@@ -283,9 +262,9 @@ type t = {
           Mutated at send time in drain execution order. *)
   procs : proc array;
   nx : int;  (** number of transfers *)
-  wplans : wplan array array;  (** [transfer id].(proc) *)
+  wplans : wplan array array;
+      (** [transfer id].(proc), fringe transfers and collective rounds *)
   colls : Ir.Coll.desc option array;  (** per transfer: its collective tag *)
-  csides : cside array array;  (** collective rounds: [transfer id].(proc) *)
   runnable : int array;  (** ring; capacity = nprocs ([queued] dedups) *)
   mutable run_head : int;
   mutable run_len : int;
@@ -322,7 +301,6 @@ let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
          (fun (pp : Runtime.Halo.partner_pieces) ->
            let q = pp.Runtime.Halo.pp_partner in
            { b_partner = q;
-             b_bytes = 8 * pp.Runtime.Halo.pp_cells;
              b_cells = pp.Runtime.Halo.pp_cells;
              b_plan =
                Runtime.Wireplan.build ~stores:shapes.(p)
@@ -345,6 +323,28 @@ let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
   Array.init nprocs (fun p ->
       { b_recv = blues p recvs.(p) next;
         b_send = blues p sends.(p) (fun _ -> -1) })
+
+let no_blits = Runtime.Wireplan.build ~stores:[||] []
+
+(** The wire blueprints of one synthesized collective round: each
+    rank's {!Ir.Coll.role} becomes at most one receive side (from
+    [r_from]) and one send side (to [r_to]) of [r_count] scalars. The
+    payload is the round's scalars, not store rows, so the blit plan is
+    empty; a round sender has exactly one send side, so [b_link] is 0. *)
+let coll_wblue (d : Ir.Coll.desc) ~nprocs ~(topo : Machine.Topology.t) ~pr
+    ~pc : wbpair array =
+  Array.init nprocs (fun p ->
+      let r = Ir.Coll.role d ~rank:p in
+      let side q link =
+        if q < 0 then [||]
+        else
+          [| { b_partner = q;
+               b_cells = r.Ir.Coll.r_count;
+               b_plan = no_blits;
+               b_route = Machine.Topology.route topo ~pr ~pc ~src:p ~dst:q;
+               b_link = link } |]
+      in
+      { b_recv = side r.Ir.Coll.r_from 0; b_send = side r.Ir.Coll.r_to (-1) })
 
 (** Index of the (source, transfer, kind) slot in a proc's dense mailbox
     array. *)
@@ -424,29 +424,9 @@ let plan ?(row_path = true)
   let p_wblue =
     Array.map
       (fun (x : Ir.Transfer.t) ->
-        if Ir.Transfer.is_coll x then
-          Array.init nprocs (fun _ -> { b_recv = [||]; b_send = [||] })
-        else build_wblue layout prog x ~shapes ~topo:topology ~pr ~pc)
-      flat.Ir.Flat.transfers
-  in
-  let p_cblue =
-    Array.map
-      (fun (x : Ir.Transfer.t) ->
         match x.Ir.Transfer.coll with
-        | None -> [||]
-        | Some d ->
-            Array.init nprocs (fun rank ->
-                let r = Ir.Coll.role d ~rank in
-                let route dst =
-                  if dst < 0 then [||]
-                  else
-                    Machine.Topology.route topology ~pr ~pc ~src:rank ~dst
-                in
-                { cb_to = r.Ir.Coll.r_to;
-                  cb_from = r.Ir.Coll.r_from;
-                  cb_count = r.Ir.Coll.r_count;
-                  cb_rto = route r.Ir.Coll.r_to;
-                  cb_rfrom = route r.Ir.Coll.r_from }))
+        | Some d -> coll_wblue d ~nprocs ~topo:topology ~pr ~pc
+        | None -> build_wblue layout prog x ~shapes ~topo:topology ~pr ~pc)
       flat.Ir.Flat.transfers
   in
   let ops = flat.Ir.Flat.ops in
@@ -500,7 +480,6 @@ let plan ?(row_path = true)
     p_dissem = dissem_slot;
     p_wblue;
     p_colls = colls;
-    p_cblue;
     p_refchecks =
       Array.map
         (function
@@ -564,7 +543,7 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
       (fun (bp : wbpair array) ->
         let mk (b : wblue) =
           { w_partner = b.b_partner;
-            w_bytes = b.b_bytes;
+            w_bytes = 8 * b.b_cells;
             w_plan = b.b_plan;
             w_route = b.b_route;
             w_pool = Runtime.Wireplan.make_pool ~cells:b.b_cells }
@@ -587,34 +566,6 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
         sides)
       sp.p_wblue
   in
-  (* collective sides: same pool-aliasing discipline *)
-  let csides =
-    Array.map
-      (fun (cb : cblue array) ->
-        let sides =
-          Array.map
-            (fun (b : cblue) ->
-              let pool = Runtime.Wireplan.make_pool ~cells:b.cb_count in
-              { c_to = b.cb_to;
-                c_from = b.cb_from;
-                c_count = b.cb_count;
-                c_rto = b.cb_rto;
-                c_rfrom = b.cb_rfrom;
-                c_spool = pool;
-                c_rpool = pool })
-            cb
-        in
-        Array.iter
-          (fun s ->
-            if s.c_from >= 0 then begin
-              let sender = sides.(s.c_from) in
-              assert (sender.c_to >= 0 && sender.c_count = s.c_count);
-              s.c_rpool <- sender.c_spool
-            end)
-          sides;
-        sides)
-      sp.p_cblue
-  in
   let t =
     { shared = sp;
       flat;
@@ -633,7 +584,6 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
       nx;
       wplans;
       colls = sp.p_colls;
-      csides;
       runnable = Array.make (max 1 nprocs) 0;
       run_head = 0;
       run_len = 0;
@@ -661,18 +611,6 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
             plan.w_send)
         wp)
     wplans;
-  Array.iteri
-    (fun xi sides ->
-      Array.iteri
-        (fun p (s : cside) ->
-          if s.c_from >= 0 then
-            procs.(p).wmail.(wkey t ~src:s.c_from ~xfer:xi kb_data) <-
-              fresh_mbox ();
-          if s.c_to >= 0 then
-            procs.(p).wmail.(wkey t ~src:s.c_to ~xfer:xi kb_token) <-
-              fresh_mbox ())
-        sides)
-    csides;
   t
 
 let shared_plans (t : t) = t.shared
@@ -805,10 +743,6 @@ let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
 
 (* --- communication calls --- *)
 
-let charge_comm (p : proc) dt =
-  p.time.fv <- p.time.fv +. dt;
-  p.stats.Stats.times.Stats.comm_cpu <- p.stats.Stats.times.Stats.comm_cpu +. dt
-
 (** Block [p] until the time in [scratch.(0)] — a float parameter would
     be boxed at the call (no flambda), this is not. *)
 let block_until_acc (p : proc) =
@@ -819,7 +753,13 @@ let block_until_acc (p : proc) =
     p.time.fv <- a
   end
 
-(* --- fringe transfers: pooled staging buffers through ring mailboxes ---
+(* --- communication: pooled staging buffers through ring mailboxes ---
+
+   One path serves fringe transfers and synthesized collective rounds.
+   A round is an ordinary transfer whose sides carry a handful of
+   scalars instead of store rows ({!coll_wblue}); only packing at SR
+   and unpacking at DN look at the transfer's collective tag. Charge
+   formulas and their float-accumulation order are the same for both.
 
    Nothing here allocates in steady state: costs are computed inline
    into all-float records and scratch slots, payloads are packed into
@@ -827,11 +767,78 @@ let block_until_acc (p : proc) =
    float-free — an OCaml float argument or return is boxed at every
    non-inlined call. *)
 
+(** {!Runtime.Reduce.apply}, inlined so a round's combine boxes no
+    float. *)
+let[@inline] combine (op : Zpl.Ast.redop) a b =
+  match op with
+  | Zpl.Ast.RSum -> a +. b
+  | Zpl.Ast.RProd -> a *. b
+  | Zpl.Ast.RMax -> Float.max a b
+  | Zpl.Ast.RMin -> Float.min a b
+
+(** Number of 8-byte scalars a round side carries. *)
+let coll_count (s : wside) = s.w_bytes / 8
+
+(** Pack a round's payload: the slot accumulator, or for dissemination
+    the window of [count] consecutive partials ending at our rank,
+    newest first — entry j originated at rank - j. *)
+let coll_pack (p : proc) (d : Ir.Coll.desc) (s : wside)
+    (buf : Runtime.Store.buf) =
+  match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
+  | Ir.Coll.Dissem, Ir.Coll.Gather ->
+      let vals = p.cvals.(d.Ir.Coll.cl_slot) in
+      let np = d.Ir.Coll.cl_nprocs in
+      for j = 0 to coll_count s - 1 do
+        Bigarray.Array1.unsafe_set buf j
+          vals.((((p.rank - j) mod np) + np) mod np)
+      done
+  | _ -> Bigarray.Array1.unsafe_set buf 0 p.cacc.(d.Ir.Coll.cl_slot)
+
+(** Fold a received round payload into this rank's collective state.
+    The combine expressions are fixed per (algorithm, phase) — see
+    {!Ir.Coll} for why each choice keeps the result bit-identical across
+    ranks. [s] is the receive side, so [s.w_partner] is the sender. *)
+let coll_combine (p : proc) (d : Ir.Coll.desc) (s : wside)
+    (buf : Runtime.Store.buf) =
+  let slot = d.Ir.Coll.cl_slot in
+  let op = d.Ir.Coll.cl_op in
+  match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
+  | Ir.Coll.Ring, Ir.Coll.Reduce ->
+      (* the chain prefix arrives; our partial folds on its right *)
+      p.cacc.(slot) <-
+        combine op (Bigarray.Array1.unsafe_get buf 0) p.cacc.(slot)
+  | Ir.Coll.Binomial, Ir.Coll.Reduce | Ir.Coll.Recdouble, Ir.Coll.Fold_in ->
+      (* lower rank holds the left operand *)
+      p.cacc.(slot) <-
+        combine op p.cacc.(slot) (Bigarray.Array1.unsafe_get buf 0)
+  | Ir.Coll.Recdouble, Ir.Coll.Reduce ->
+      (* both partners evaluate lower-rank-left, so their bits agree *)
+      if s.w_partner > p.rank then
+        p.cacc.(slot) <-
+          combine op p.cacc.(slot) (Bigarray.Array1.unsafe_get buf 0)
+      else
+        p.cacc.(slot) <-
+          combine op (Bigarray.Array1.unsafe_get buf 0) p.cacc.(slot)
+  | Ir.Coll.Ring, Ir.Coll.Bcast
+  | Ir.Coll.Binomial, Ir.Coll.Bcast
+  | Ir.Coll.Recdouble, Ir.Coll.Fold_out ->
+      p.cacc.(slot) <- Bigarray.Array1.unsafe_get buf 0
+  | Ir.Coll.Dissem, Ir.Coll.Gather ->
+      let vals = p.cvals.(slot) in
+      let np = d.Ir.Coll.cl_nprocs in
+      for j = 0 to coll_count s - 1 do
+        vals.((((s.w_partner - j) mod np) + np) mod np) <-
+          Bigarray.Array1.unsafe_get buf j
+      done
+  | _ -> assert false (* no role delivers data in these (alg, phase) *)
+
 let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   let c = costs t in
   let m = t.machine in
   let buf = Runtime.Wireplan.acquire s.w_pool in
-  Runtime.Wireplan.pack s.w_plan p.stores buf;
+  (match t.colls.(xfer) with
+  | None -> Runtime.Wireplan.pack s.w_plan p.stores buf
+  | Some d -> coll_pack p d s buf);
   let bytes = float_of_int s.w_bytes in
   let cpu = c.Machine.Params.sr_over +. (bytes *. c.Machine.Params.send_byte) in
   p.time.fv <- p.time.fv +. cpu;
@@ -855,8 +862,7 @@ let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   p.stats.Stats.msgs_sent <- p.stats.Stats.msgs_sent + 1;
   p.stats.Stats.bytes_sent <- p.stats.Stats.bytes_sent + s.w_bytes
 
-let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
-    step =
+let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
   let wp = t.wplans.(xfer).(p.rank) in
   let c = costs t in
   match Machine.Library.semantics t.lib.Machine.Library.kind call with
@@ -968,7 +974,9 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
           p.time.fv <- p.time.fv +. dt;
           p.stats.Stats.times.Stats.comm_cpu <-
             p.stats.Stats.times.Stats.comm_cpu +. dt;
-          Runtime.Wireplan.unpack s.w_plan p.stores buf;
+          (match t.colls.(xfer) with
+          | None -> Runtime.Wireplan.unpack s.w_plan p.stores buf
+          | Some d -> coll_combine p d s buf);
           Runtime.Wireplan.release s.w_pool buf;
           p.stats.Stats.msgs_recv <- p.stats.Stats.msgs_recv + 1;
           p.stats.Stats.bytes_recv <- p.stats.Stats.bytes_recv + s.w_bytes
@@ -985,199 +993,6 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
           p.stats.Stats.times.Stats.comm_cpu +. c.Machine.Params.sv_over
       end;
       Continue
-
-(* --- synthesized collective rounds ---
-
-   The payload is a handful of synthesized scalars, not array fringes,
-   travelling through the same dense mailboxes and pooled staging
-   buffers. Charge formulas and their float-accumulation order are the
-   fringe path's, with the round's [8 * count] bytes. *)
-
-let coll_send (t : t) (p : proc) ~xfer (d : Ir.Coll.desc) (s : cside) =
-  let c = costs t in
-  let m = t.machine in
-  let buf = Runtime.Wireplan.acquire s.c_spool in
-  (match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
-  | Ir.Coll.Dissem, Ir.Coll.Gather ->
-      (* the window of [count] consecutive partials ending at our rank,
-         newest first: entry j originated at rank - j *)
-      let vals = p.cvals.(d.Ir.Coll.cl_slot) in
-      let np = d.Ir.Coll.cl_nprocs in
-      for j = 0 to s.c_count - 1 do
-        Bigarray.Array1.unsafe_set buf j
-          vals.((((p.rank - j) mod np) + np) mod np)
-      done
-  | _ -> Bigarray.Array1.unsafe_set buf 0 p.cacc.(d.Ir.Coll.cl_slot));
-  let bytes = float_of_int (8 * s.c_count) in
-  let cpu = c.Machine.Params.sr_over +. (bytes *. c.Machine.Params.send_byte) in
-  p.time.fv <- p.time.fv +. cpu;
-  p.stats.Stats.times.Stats.comm_cpu <-
-    p.stats.Stats.times.Stats.comm_cpu +. cpu;
-  let q = t.procs.(s.c_to) in
-  let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_data) in
-  let j = mbox_reserve mb in
-  mb.mb_arr.(j) <-
-    (if t.topo_ideal then
-       p.time.fv
-       +. (m.Machine.Params.wire_latency +. c.Machine.Params.msg_latency
-          +. (bytes /. m.Machine.Params.bandwidth))
-     else
-       route_arrival t ~from_time:p.time.fv ~bytes s.c_rto
-       +. c.Machine.Params.msg_latency);
-  mb.mb_buf.(j) <- buf;
-  wake t q;
-  let cand = p.time.fv +. (bytes /. m.Machine.Params.bandwidth) in
-  if cand > p.send_done.(xfer) then p.send_done.(xfer) <- cand;
-  p.stats.Stats.msgs_sent <- p.stats.Stats.msgs_sent + 1;
-  p.stats.Stats.bytes_sent <- p.stats.Stats.bytes_sent + (8 * s.c_count)
-
-(** Fold the received round payload into this rank's collective state.
-    The combine expressions are fixed per (algorithm, phase) — see
-    {!Ir.Coll} for why each choice keeps the result bit-identical across
-    ranks. *)
-let coll_combine (p : proc) (d : Ir.Coll.desc) (s : cside)
-    (buf : Runtime.Store.buf) =
-  let slot = d.Ir.Coll.cl_slot in
-  let op = d.Ir.Coll.cl_op in
-  match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
-  | Ir.Coll.Ring, Ir.Coll.Reduce ->
-      (* the chain prefix arrives; our partial folds on its right *)
-      p.cacc.(slot) <-
-        Runtime.Reduce.apply op (Bigarray.Array1.unsafe_get buf 0) p.cacc.(slot)
-  | Ir.Coll.Binomial, Ir.Coll.Reduce | Ir.Coll.Recdouble, Ir.Coll.Fold_in ->
-      (* lower rank holds the left operand *)
-      p.cacc.(slot) <-
-        Runtime.Reduce.apply op p.cacc.(slot) (Bigarray.Array1.unsafe_get buf 0)
-  | Ir.Coll.Recdouble, Ir.Coll.Reduce ->
-      (* both partners evaluate lower-rank-left, so their bits agree *)
-      if s.c_from > p.rank then
-        p.cacc.(slot) <-
-          Runtime.Reduce.apply op p.cacc.(slot)
-            (Bigarray.Array1.unsafe_get buf 0)
-      else
-        p.cacc.(slot) <-
-          Runtime.Reduce.apply op
-            (Bigarray.Array1.unsafe_get buf 0)
-            p.cacc.(slot)
-  | Ir.Coll.Ring, Ir.Coll.Bcast
-  | Ir.Coll.Binomial, Ir.Coll.Bcast
-  | Ir.Coll.Recdouble, Ir.Coll.Fold_out ->
-      p.cacc.(slot) <- Bigarray.Array1.unsafe_get buf 0
-  | Ir.Coll.Dissem, Ir.Coll.Gather ->
-      let vals = p.cvals.(slot) in
-      let np = d.Ir.Coll.cl_nprocs in
-      for j = 0 to s.c_count - 1 do
-        vals.((((s.c_from - j) mod np) + np) mod np) <-
-          Bigarray.Array1.unsafe_get buf j
-      done
-  | _ -> assert false (* no role delivers data in these (alg, phase) *)
-
-let exec_comm_coll (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int)
-    (d : Ir.Coll.desc) : step =
-  let s = t.csides.(xfer).(p.rank) in
-  let c = costs t in
-  match Machine.Library.semantics t.lib.Machine.Library.kind call with
-  | Machine.Library.No_op -> Continue
-  | Machine.Library.Post_recv ->
-      if s.c_from >= 0 then begin
-        charge_comm p c.Machine.Params.dr_over;
-        p.posted.(xfer) <- p.posted.(xfer) + 1
-      end;
-      Continue
-  | Machine.Library.Notify_ready ->
-      if s.c_from >= 0 then begin
-        charge_comm p c.Machine.Params.dr_over;
-        let q = t.procs.(s.c_from) in
-        let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_token) in
-        let j = mbox_reserve mb in
-        mb.mb_arr.(j) <-
-          (if t.topo_ideal then
-             p.time.fv
-             +. t.machine.Machine.Params.wire_latency
-             +. c.Machine.Params.token_latency
-           else
-             route_arrival t ~from_time:p.time.fv ~bytes:0.0 s.c_rfrom
-             +. c.Machine.Params.token_latency);
-        mb.mb_buf.(j) <- dummy_buf;
-        wake t q
-      end;
-      Continue
-  | Machine.Library.Send_buffered ->
-      if s.c_to >= 0 then begin
-        coll_send t p ~xfer d s;
-        p.stats.Stats.xfers_sent <- p.stats.Stats.xfers_sent + 1
-      end;
-      Continue
-  | Machine.Library.Send_rendezvous ->
-      if s.c_to < 0 then Continue
-      else begin
-        let mb = p.wmail.(wkey t ~src:s.c_to ~xfer kb_token) in
-        if mb.mb_n = 0 then begin
-          p.wait_kind <- wk_tokens;
-          p.wait_arg <- xfer;
-          Blocked
-        end
-        else begin
-          p.wait_kind <- wk_none;
-          let j = mbox_pop mb in
-          p.scratch.(0) <- mb.mb_arr.(j);
-          block_until_acc p;
-          coll_send t p ~xfer d s;
-          p.stats.Stats.xfers_sent <- p.stats.Stats.xfers_sent + 1;
-          Continue
-        end
-      end
-  | Machine.Library.Wait_data ->
-      if s.c_from < 0 then Continue
-      else begin
-        let mb = p.wmail.(wkey t ~src:s.c_from ~xfer kb_data) in
-        if mb.mb_n = 0 then begin
-          p.wait_kind <- wk_data;
-          p.wait_arg <- xfer;
-          Blocked
-        end
-        else begin
-          p.wait_kind <- wk_none;
-          let j = mbox_pop mb in
-          p.scratch.(0) <- mb.mb_arr.(j);
-          block_until_acc p;
-          if p.posted.(xfer) > 0 then begin
-            p.posted.(xfer) <- p.posted.(xfer) - 1;
-            p.scratch.(1) <- 0.0
-          end
-          else if Machine.Library.deposits_directly t.lib.Machine.Library.kind
-          then p.scratch.(1) <- 0.0
-          else p.scratch.(1) <- c.Machine.Params.recv_byte;
-          let buf = mb.mb_buf.(j) in
-          mb.mb_buf.(j) <- dummy_buf;
-          let dt =
-            c.Machine.Params.dn_over
-            +. (float_of_int (8 * s.c_count) *. p.scratch.(1))
-          in
-          p.time.fv <- p.time.fv +. dt;
-          p.stats.Stats.times.Stats.comm_cpu <-
-            p.stats.Stats.times.Stats.comm_cpu +. dt;
-          coll_combine p d s buf;
-          Runtime.Wireplan.release s.c_rpool buf;
-          p.stats.Stats.msgs_recv <- p.stats.Stats.msgs_recv + 1;
-          p.stats.Stats.bytes_recv <-
-            p.stats.Stats.bytes_recv + (8 * s.c_count);
-          p.stats.Stats.xfers_recv <- p.stats.Stats.xfers_recv + 1;
-          Continue
-        end
-      end
-  | Machine.Library.Wait_send_done ->
-      if s.c_to >= 0 then begin
-        p.scratch.(0) <- p.send_done.(xfer);
-        block_until_acc p;
-        charge_comm p c.Machine.Params.sv_over
-      end;
-      Continue
-
-let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
-  match t.colls.(xfer) with
-  | Some d -> exec_comm_coll t p call xfer d
-  | None -> exec_comm_wire t p call xfer
 
 (* --- collective reduction --- *)
 
@@ -1204,10 +1019,15 @@ let finish_reduce (t : t) seq (slot : reduce_slot) =
     t.procs;
   Hashtbl.remove t.reduce_slots seq
 
-let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
+(** Compute this rank's local partial of a reduction over its partition
+    box and charge its cost: the kernel overhead plus its flops over the
+    clipped cells. Returns {!Runtime.Kernel.exec_rplan}'s (partial,
+    cells) pair as is, so no float crosses this call unboxed. Shared by
+    the opaque reduction and a synthesized collective's first half. *)
+let local_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) =
   let region = Runtime.Values.clip_dregion p.env r.r_region ~within:p.box in
   Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores t.refchecks.(idx);
-  let partial, cells =
+  let ((_, cells) as res) =
     Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region r.r_op
   in
   let dt =
@@ -1217,6 +1037,10 @@ let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
   p.time.fv <- p.time.fv +. dt;
   p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
   p.stats.Stats.cells <- p.stats.Stats.cells + cells;
+  res
+
+let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
+  let partial, _ = local_partial t p idx r in
   let seq = p.reduce_seq in
   p.reduce_seq <- seq + 1;
   let slot =
@@ -1243,27 +1067,12 @@ let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
 
 (* --- synthesized collective bookends --- *)
 
-(** Compute this rank's local partial — the same plan, cost formula and
-    float-accumulation order as the compute half of {!exec_reduce} — and
-    seed the slot state the rounds will combine into. *)
+(** Compute this rank's local partial ({!local_partial}, as the opaque
+    reduction does) and seed the slot state the rounds will combine
+    into. *)
 let exec_coll_part (t : t) (p : proc) idx (w : Ir.Instr.coll_work) =
   let r = w.Ir.Instr.cw_red in
-  let region =
-    Runtime.Values.clip_dregion p.env r.Zpl.Prog.r_region ~within:p.box
-  in
-  Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores t.refchecks.(idx);
-  let partial, cells =
-    Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region
-      r.Zpl.Prog.r_op
-  in
-  let dt =
-    t.machine.Machine.Params.kernel_overhead
-    +. (float_of_int (cells * r.Zpl.Prog.r_flops)
-       *. t.machine.Machine.Params.sec_per_flop)
-  in
-  p.time.fv <- p.time.fv +. dt;
-  p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
-  p.stats.Stats.cells <- p.stats.Stats.cells + cells;
+  let partial, _ = local_partial t p idx r in
   let slot = w.Ir.Instr.cw_slot in
   p.cacc.(slot) <- partial;
   match w.Ir.Instr.cw_alg with
@@ -1272,7 +1081,7 @@ let exec_coll_part (t : t) (p : proc) idx (w : Ir.Instr.coll_work) =
          reproduces the opaque fold bit for bit *)
       if p.rank = 0 then
         p.cacc.(slot) <-
-          Runtime.Reduce.apply r.Zpl.Prog.r_op
+          combine r.Zpl.Prog.r_op
             (Runtime.Reduce.identity r.Zpl.Prog.r_op)
             partial
   | Ir.Coll.Dissem -> p.cvals.(slot).(p.rank) <- partial
@@ -1292,7 +1101,7 @@ let exec_coll_fin (t : t) (p : proc) (w : Ir.Instr.coll_work) =
         let vals = p.cvals.(slot) in
         let v = ref (Runtime.Reduce.identity r.Zpl.Prog.r_op) in
         for src = 0 to Array.length vals - 1 do
-          v := Runtime.Reduce.apply r.Zpl.Prog.r_op !v vals.(src)
+          v := combine r.Zpl.Prog.r_op !v vals.(src)
         done;
         !v
     | Ir.Coll.Ring | Ir.Coll.Binomial | Ir.Coll.Recdouble -> p.cacc.(slot)
@@ -1411,35 +1220,30 @@ let run (t : t) : result =
      Array.find_opt (fun (p : proc) -> not p.halted) t.procs
    with
   | Some p ->
-      let missing ~kind_bit pick =
-        let x = p.wait_arg in
-        wire_missing t p ~xfer:x ~kind_bit (pick t.wplans.(x).(p.rank))
-        |> List.map string_of_int |> String.concat ","
-      in
-      let coll_why kind =
-        (* a stuck synthesized round names its algorithm, phase, round
-           and the exact partner rank *)
-        let s = t.csides.(p.wait_arg).(p.rank) in
-        Printf.sprintf
-          "proc %d waiting for %s of collective round %s from proc %d"
-          p.rank kind
-          (Ir.Transfer.describe t.flat.Ir.Flat.prog
-             t.flat.Ir.Flat.transfers.(p.wait_arg))
-          (if kind = "data" then s.c_from else s.c_to)
-      in
       let why =
-        if
-          (p.wait_kind = wk_data || p.wait_kind = wk_tokens)
-          && t.colls.(p.wait_arg) <> None
-        then coll_why (if p.wait_kind = wk_data then "data" else "the token")
-        else if p.wait_kind = wk_data then
-          Printf.sprintf "proc %d waiting for data of transfer %d from %s"
-            p.rank p.wait_arg
-            (missing ~kind_bit:kb_data (fun wp -> wp.w_recv))
-        else if p.wait_kind = wk_tokens then
-          Printf.sprintf "proc %d waiting for tokens of transfer %d from %s"
-            p.rank p.wait_arg
-            (missing ~kind_bit:kb_token (fun wp -> wp.w_send))
+        if p.wait_kind = wk_data || p.wait_kind = wk_tokens then begin
+          (* {!Ir.Transfer.describe} names a collective round's
+             algorithm, phase and round *)
+          let x = p.wait_arg in
+          let wp = t.wplans.(x).(p.rank) in
+          let what, kind_bit, sides =
+            if p.wait_kind = wk_data then ("data", kb_data, wp.w_recv)
+            else ("token", kb_token, wp.w_send)
+          in
+          let call =
+            match t.flat.Ir.Flat.ops.(p.pc) with
+            | Ir.Flat.FComm (c, _) -> Ir.Instr.call_name c
+            | _ -> assert false (* only comm calls block on mail *)
+          in
+          Printf.sprintf "proc %d blocked at op %d, %s of transfer %s: no %s \
+                          from proc %s"
+            p.rank p.pc call
+            (Ir.Transfer.describe t.flat.Ir.Flat.prog
+               t.flat.Ir.Flat.transfers.(x))
+            what
+            (wire_missing t p ~xfer:x ~kind_bit sides
+            |> List.map string_of_int |> String.concat ",")
+        end
         else if p.wait_kind = wk_reduce then
           Printf.sprintf "proc %d waiting in reduction %d" p.rank p.wait_arg
         else Printf.sprintf "proc %d stopped at pc %d" p.rank p.pc
@@ -1482,9 +1286,9 @@ let topology (t : t) = t.topology
     negative/NaN entries, phantom boundary links never claimed). *)
 let link_occupancy (t : t) : float array = Array.copy t.link_free
 
-(** Staging-pool accounting over all send sides (receive sides alias the
-    sender's pool): (buffers freshly allocated, acquires served from the
-    freelists). The split depends on how far senders run ahead — a
+(** Staging-pool accounting over all send sides, collective rounds
+    included (receive sides alias the sender's pool): (buffers freshly
+    allocated, acquires served from the freelists). The split depends on how far senders run ahead — a
     sender running ahead deepens its pools — so it is a runtime
     diagnostic, not part of {!Stats.t}. *)
 let pool_counts (t : t) : int * int =

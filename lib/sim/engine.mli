@@ -15,7 +15,12 @@ type t
 type proc
 
 (** Raised when no processor can make progress (a library/program
-    mismatch, e.g. a receive with no matching send). *)
+    mismatch, e.g. a receive with no matching send). For a processor
+    blocked on mail the message names the processor, its op index and
+    call, the transfer ([Ir.Transfer.describe], which names a collective
+    round's algorithm, phase and round) and the partners with nothing
+    pending, e.g. ["proc 0 blocked at op 11, DN of transfer x0:A@east:
+    no data from proc 1"]. *)
 exception Deadlock of string
 
 (** Raised when some single processor exceeds the instruction budget
@@ -24,8 +29,10 @@ exception Deadlock of string
 exception Instruction_limit of int
 
 (** The immutable, shareable half of an engine: the compiled comm
-    schedule bound to a layout, the wire blit plans, the collective role
-    tables, the reference-check tables, and the store-agnostic kernel
+    schedule bound to a layout, the wire sides of every transfer (blit
+    plans for fringe transfers; for a synthesized collective round, each
+    rank's role as one receive and one send side carrying scalars), the
+    reference-check tables, and the store-agnostic kernel
     programs (one row plan per statement, compiled against shape-only
     stores — see the store-binding contract in [Runtime.Kernel]). A
     kernel program is compiled once per stride signature, not once per
@@ -117,7 +124,8 @@ val topology : t -> Machine.Topology.t
 val link_occupancy : t -> float array
 
 (** After a run: (staging buffers freshly allocated by the wire pools,
-    acquires served from the freelists). The split is a runtime
+    acquires served from the freelists). Collective rounds draw from
+    the same pools, so fresh + reused equals the messages sent. The split is a runtime
     diagnostic — it depends on how far senders ran ahead — and is not
     part of the deterministic {!Stats.t}. *)
 val pool_counts : t -> int * int

@@ -145,6 +145,58 @@ let test_empty_kernels_alloc_free () =
   check "single statement" "[i..i, 2..7] A := A * 0.5 + B;"
 
 (* ------------------------------------------------------------------ *)
+(* Allocation-free collective rounds                                   *)
+(* ------------------------------------------------------------------ *)
+
+let forced alg =
+  { Opt.Config.pl_cum with Opt.Config.collective = Opt.Config.Forced alg }
+
+(** The reduction synthetic ([+<<], [max<<], [min<<] per iteration)
+    compiled with every reduction forced into [alg]'s rounds on 2x2. *)
+let coll_flat ~alg ~iters =
+  let defines = Programs.Synthetic.reduce_defines ~n:16 ~iters in
+  let prog =
+    Zpl.Check.compile_string ~defines Programs.Synthetic.reduce_source
+  in
+  Ir.Flat.flatten (Opt.Passes.compile ~mesh:(2, 2) (forced alg) prog)
+
+let coll_minor_words ~alg ~iters =
+  let engine =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ~machine:t3d ~lib:Machine.T3d.pvm ~pr:2 ~pc:2
+         (coll_flat ~alg ~iters))
+  in
+  let before = Gc.minor_words () in
+  ignore (Sim.Engine.run engine);
+  Gc.minor_words () -. before
+
+(** The algorithms differ in rounds, partners, message widths and
+    combine order, but none of that may cost an allocation: a round is
+    a packed staging buffer through a ring mailbox and a combine over
+    unboxed floats. So the per-iteration minor words — the kernels'
+    clipped regions and the scalar updates, the same for every
+    algorithm — must agree to within 8 words. *)
+let test_coll_rounds_alloc_free () =
+  let lo = 50 and hi = 250 in
+  let per_iter alg =
+    ignore (coll_minor_words ~alg ~iters:2);
+    (coll_minor_words ~alg ~iters:hi -. coll_minor_words ~alg ~iters:lo)
+    /. float_of_int (hi - lo)
+  in
+  let words = List.map (fun a -> (a, per_iter a)) Ir.Coll.all_algs in
+  let lo_w = List.fold_left (fun m (_, w) -> Float.min m w) infinity words
+  and hi_w = List.fold_left (fun m (_, w) -> Float.max m w) 0.0 words in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words/iteration %s differ by %.1f (want <= 8)"
+       (String.concat ", "
+          (List.map
+             (fun (a, w) -> Printf.sprintf "%s %.1f" (Ir.Coll.alg_name a) w)
+             words))
+       (hi_w -. lo_w))
+    true
+    (hi_w -. lo_w <= 8.0)
+
+(* ------------------------------------------------------------------ *)
 (* Pool recycling under ping-pong traffic                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -167,6 +219,22 @@ let test_pool_recycles () =
     true
     (fresh <= 8);
   Alcotest.(check bool) "the pool actually recycled" true (reused > total / 2)
+
+(** Round messages draw staging buffers from the same wire pools as
+    fringe messages, so the pool accounting covers them: on the
+    reduction synthetic every message is a round message. *)
+let test_pool_counts_cover_rounds () =
+  List.iter
+    (fun alg ->
+      let res = run ~pr:2 ~pc:2 (coll_flat ~alg ~iters:10) in
+      let fresh, reused = Sim.Engine.pool_counts res.Sim.Engine.engine in
+      let total = Sim.Stats.total_messages res.Sim.Engine.stats in
+      let name = Ir.Coll.alg_name alg in
+      Alcotest.(check bool) (name ^ ": rounds sent messages") true (total > 0);
+      Alcotest.(check int)
+        (name ^ ": every send acquired a staging buffer")
+        total (fresh + reused))
+    Ir.Coll.all_algs
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot soundness when the receiver lags the sender                *)
@@ -285,9 +353,13 @@ let () =
             test_zero_alloc;
           Alcotest.test_case "pool recycles under ping-pong" `Quick
             test_pool_recycles;
+          Alcotest.test_case "pool counts cover collective rounds" `Quick
+            test_pool_counts_cover_rounds;
           Alcotest.test_case "snapshots sound under receiver lag" `Quick
             test_snapshot_under_lag;
           Alcotest.test_case "empty-region kernel calls allocate nothing"
             `Quick test_empty_kernels_alloc_free;
+          Alcotest.test_case "collective rounds allocate alike" `Quick
+            test_coll_rounds_alloc_free;
           Alcotest.test_case "send sides derived from receive sides" `Quick
             test_send_sides_derived ] ) ]

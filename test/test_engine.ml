@@ -165,6 +165,65 @@ let test_instruction_limit () =
     | _ -> false
     | exception Sim.Engine.Instruction_limit _ -> true)
 
+(* A deadlock names the blocked processor, its op index and call, the
+   transfer ([Ir.Transfer.describe]) and the partners with nothing
+   pending, for fringe transfers and synthesized collective rounds
+   alike. Each case deletes the SR ops of the first transfer [pick]
+   accepts (each becomes a jump to the next op), so its receivers wait
+   at their first DN for data that never comes. Returns the transfer's
+   description. *)
+let check_deadlock ~config pick =
+  let prog = Zpl.Check.compile_string stencil_src in
+  let flat = Ir.Flat.flatten (Opt.Passes.compile ~mesh:(2, 2) config prog) in
+  let x = Option.get (Array.find_index pick flat.Ir.Flat.transfers) in
+  let ops =
+    Array.mapi
+      (fun i op ->
+        match op with
+        | Ir.Flat.FComm (Ir.Instr.SR, y) when y = x -> Ir.Flat.FJump (i + 1)
+        | op -> op)
+      flat.Ir.Flat.ops
+  in
+  let e =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:2
+         ~pc:2 { flat with Ir.Flat.ops })
+  in
+  let dn =
+    Option.get
+      (Array.find_index (( = ) (Ir.Flat.FComm (Ir.Instr.DN, x))) ops)
+  in
+  let desc = Ir.Transfer.describe prog flat.Ir.Flat.transfers.(x) in
+  (* rank 1 is rank 0's east neighbour on 2x2 and its first
+     recursive-doubling partner *)
+  Alcotest.(check string) "deadlock message"
+    (Printf.sprintf
+       "proc 0 blocked at op %d, DN of transfer %s: no data from proc 1" dn
+       desc)
+    (match Sim.Engine.run e with
+    | _ -> "no deadlock"
+    | exception Sim.Engine.Deadlock msg -> msg);
+  desc
+
+let test_deadlock_fringe () =
+  Alcotest.(check string) "transfer" "x0:A@east"
+    (check_deadlock ~config:Opt.Config.pl_cum (fun x ->
+         not (Ir.Transfer.is_coll x)))
+
+let test_deadlock_round () =
+  let config =
+    { Opt.Config.pl_cum with
+      Opt.Config.collective = Opt.Config.Forced Ir.Coll.Recdouble }
+  in
+  let desc =
+    check_deadlock ~config (fun (x : Ir.Transfer.t) ->
+        match x.Ir.Transfer.coll with
+        | Some d -> d.Ir.Coll.cl_phase = Ir.Coll.Reduce
+        | None -> false)
+  in
+  Alcotest.(check bool) ("the round is named: " ^ desc) true
+    (String.ends_with ~suffix:":recdouble:reduce[0/2]#s0" desc)
+
 let test_wavefront_serializes () =
   (* a row-sweep over a distributed dimension must take longer than the
      same arithmetic without the cross-row dependence *)
@@ -299,4 +358,8 @@ let () =
             test_column_shift_tall_mesh;
           Alcotest.test_case "row shift beyond row blocks rejected" `Quick
             test_rejects_tall_row_shift;
-          Alcotest.test_case "instruction limit" `Quick test_instruction_limit ] ) ]
+          Alcotest.test_case "instruction limit" `Quick test_instruction_limit;
+          Alcotest.test_case "deadlock names a fringe transfer" `Quick
+            test_deadlock_fringe;
+          Alcotest.test_case "deadlock names a collective round" `Quick
+            test_deadlock_round ] ) ]

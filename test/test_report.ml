@@ -188,11 +188,14 @@ let golden =
     ("sp", "pl with max latency", "ideal", "0x1.1b8643508cb2bp-7 32 112 448 114688 5820");
     ("sp", "pl with max latency", "mesh", "0x1.1b8643508cb2bp-7 32 112 448 114688 5820") ]
 
-let golden_line (b : Programs.Bench_def.t) (label, config, lib) (tname, topo)
-    =
+let golden_line ?mesh (b : Programs.Bench_def.t) (label, config, lib)
+    (tname, topo) =
   let spec =
     Report.Experiment.bench_spec ~topology:topo ~machine:Machine.T3d.machine
       ~lib ~config ~scale:`Test b
+    |> match mesh with
+       | None -> Fun.id
+       | Some (pr, pc) -> Run.Spec.with_mesh pr pc
   in
   let art = Run.Spec.build spec in
   let r = Sim.Engine.run (Run.Spec.engine_of art) in
@@ -205,10 +208,12 @@ let golden_line (b : Programs.Bench_def.t) (label, config, lib) (tname, topo)
       (Sim.Stats.dynamic_count st) (Sim.Stats.total_messages st)
       (Sim.Stats.total_bytes st) st.Sim.Stats.instructions )
 
+let topos =
+  [ ("ideal", Machine.Topology.Ideal); ("mesh", Machine.Topology.Mesh) ]
+
+let show = List.map (fun (b, l, t, v) -> String.concat " | " [ b; l; t; v ])
+
 let test_golden_table () =
-  let topos =
-    [ ("ideal", Machine.Topology.Ideal); ("mesh", Machine.Topology.Mesh) ]
-  in
   let got =
     List.concat_map
       (fun b ->
@@ -217,8 +222,101 @@ let test_golden_table () =
           Report.Experiment.paper_rows)
       Programs.Suite.paper_benchmarks
   in
-  let show = List.map (fun (b, l, t, v) -> String.concat " | " [ b; l; t; v ]) in
   Alcotest.(check (list string)) "golden table" (show golden) (show got)
+
+(* Synthesized collectives: the four paper benchmarks x the four forced
+   algorithms x {Ideal, Mesh} at test scale, row [pl], on 2x2 and on 3x1.
+   3x1 is not a power of two, so it runs the recursive-doubling
+   fold-in/fold-out rounds and the clipped dissemination windows. Same
+   line format as {!golden}. *)
+let coll_golden =
+  [
+    ("tomcatv", "ring 2x2", "ideal", "0x1.4d1b4a16b2d92p-8 20 62 266 29776 3852");
+    ("tomcatv", "ring 2x2", "mesh", "0x1.795539d196444p-8 20 62 266 29776 3852");
+    ("tomcatv", "ring 3x1", "ideal", "0x1.949aba8f40e07p-8 18 104 208 49888 2817");
+    ("tomcatv", "ring 3x1", "mesh", "0x1.949aba8f40e03p-8 18 104 208 49888 2817");
+    ("tomcatv", "binomial 2x2", "ideal", "0x1.2fba9f6a5aaeep-8 18 62 266 29776 3756");
+    ("tomcatv", "binomial 2x2", "mesh", "0x1.6078d84aa0ffap-8 18 62 266 29776 3756");
+    ("tomcatv", "binomial 3x1", "ideal", "0x1.8a576aae57fcdp-8 18 101 208 49888 2817");
+    ("tomcatv", "binomial 3x1", "mesh", "0x1.8a576aae57fcbp-8 18 101 208 49888 2817");
+    ("tomcatv", "recdouble 2x2", "ideal", "0x1.23d6908c9c4c8p-8 16 62 272 29824 3660");
+    ("tomcatv", "recdouble 2x2", "mesh", "0x1.54f9ac7ece924p-8 16 62 272 29824 3660");
+    ("tomcatv", "recdouble 3x1", "ideal", "0x1.8276cb9caf5dbp-8 17 101 208 49888 2781");
+    ("tomcatv", "recdouble 3x1", "mesh", "0x1.84d50318d5d8p-8 17 101 208 49888 2781");
+    ("tomcatv", "dissem 2x2", "ideal", "0x1.24c828140ceeap-8 16 62 272 29920 3660");
+    ("tomcatv", "dissem 2x2", "mesh", "0x1.5fddd2cb30313p-8 16 62 272 29920 3660");
+    ("tomcatv", "dissem 3x1", "ideal", "0x1.853973a2726b5p-8 16 104 214 49936 2745");
+    ("tomcatv", "dissem 3x1", "mesh", "0x1.853973a2726b1p-8 16 104 214 49936 2745");
+    ("swm", "ring 2x2", "ideal", "0x1.57c73c3f207cp-9 16 20 84 10584 924");
+    ("swm", "ring 2x2", "mesh", "0x1.5851083ea1339p-9 16 20 84 10584 924");
+    ("swm", "ring 3x1", "ideal", "0x1.3f4822bcd1bb4p-9 14 20 40 12176 669");
+    ("swm", "ring 3x1", "mesh", "0x1.3f4822bcd1bb3p-9 14 20 40 12176 669");
+    ("swm", "binomial 2x2", "ideal", "0x1.5293cba458ba4p-9 14 20 84 10584 892");
+    ("swm", "binomial 2x2", "mesh", "0x1.5293cba458ba4p-9 14 20 84 10584 892");
+    ("swm", "binomial 3x1", "ideal", "0x1.3b1ce18d233ebp-9 14 19 40 12176 669");
+    ("swm", "binomial 3x1", "mesh", "0x1.3b1ce18d233e9p-9 14 19 40 12176 669");
+    ("swm", "recdouble 2x2", "ideal", "0x1.456f678897048p-9 12 20 86 10600 860");
+    ("swm", "recdouble 2x2", "mesh", "0x1.456f678897048p-9 12 20 86 10600 860");
+    ("swm", "recdouble 3x1", "ideal", "0x1.38d9bb47bf316p-9 13 19 40 12176 657");
+    ("swm", "recdouble 3x1", "mesh", "0x1.3b6391ae211e6p-9 13 19 40 12176 657");
+    ("swm", "dissem 2x2", "ideal", "0x1.4573e0dbb0ceap-9 12 20 86 10632 860");
+    ("swm", "dissem 2x2", "mesh", "0x1.45b8c6db712a6p-9 12 20 86 10632 860");
+    ("swm", "dissem 3x1", "ideal", "0x1.36623cb613cddp-9 12 20 42 12192 645");
+    ("swm", "dissem 3x1", "mesh", "0x1.3b6391ae211e6p-9 12 20 42 12192 645");
+    ("simple", "ring 2x2", "ideal", "0x1.b1419da0d6ec3p-9 32 28 120 17632 1228");
+    ("simple", "ring 2x2", "mesh", "0x1.b3738a664ae27p-9 32 28 120 17632 1228");
+    ("simple", "ring 3x1", "ideal", "0x1.a7810ddc8c886p-9 28 30 60 17728 825");
+    ("simple", "ring 3x1", "mesh", "0x1.a7810ddc8c887p-9 28 30 60 17728 825");
+    ("simple", "binomial 2x2", "ideal", "0x1.7c6b27320fb93p-9 28 28 120 17632 1100");
+    ("simple", "binomial 2x2", "mesh", "0x1.7c6b27320fb93p-9 28 28 120 17632 1100");
+    ("simple", "binomial 3x1", "ideal", "0x1.8f1e23e5c6a75p-9 28 26 60 17728 825");
+    ("simple", "binomial 3x1", "mesh", "0x1.8f1e23e5c6a75p-9 28 26 60 17728 825");
+    ("simple", "recdouble 2x2", "ideal", "0x1.481e7cc2c93ddp-9 24 28 128 17696 972");
+    ("simple", "recdouble 2x2", "mesh", "0x1.481e7cc2c93dep-9 24 28 128 17696 972");
+    ("simple", "recdouble 3x1", "ideal", "0x1.8303f29a836b4p-9 26 26 60 17728 777");
+    ("simple", "recdouble 3x1", "mesh", "0x1.895dc5915286cp-9 26 26 60 17728 777");
+    ("simple", "dissem 2x2", "ideal", "0x1.482211054445ep-9 24 28 128 17824 972");
+    ("simple", "dissem 2x2", "mesh", "0x1.5b4b803112c79p-9 24 28 128 17824 972");
+    ("simple", "dissem 3x1", "ideal", "0x1.7c33908988e3bp-9 24 30 68 17792 729");
+    ("simple", "dissem 3x1", "mesh", "0x1.9515507436b3cp-9 24 30 68 17792 729");
+    ("sp", "ring 2x2", "ideal", "0x1.54a49d02daa6p-8 14 32 124 114784 3332");
+    ("sp", "ring 2x2", "mesh", "0x1.552e69025b5d6p-8 14 32 124 114784 3332");
+    ("sp", "ring 3x1", "ideal", "0x1.79c2c7f4842d2p-8 12 32 64 114752 2451");
+    ("sp", "ring 3x1", "mesh", "0x1.79c2c7f4842d3p-8 12 32 64 114752 2451");
+    ("sp", "binomial 2x2", "ideal", "0x1.3c4f584989d3cp-8 12 32 124 114784 3268");
+    ("sp", "binomial 2x2", "mesh", "0x1.3c4f584989d3bp-8 12 32 124 114784 3268");
+    ("sp", "binomial 3x1", "ideal", "0x1.6e7545431ccffp-8 12 30 64 114752 2451");
+    ("sp", "binomial 3x1", "mesh", "0x1.b67c8ca6d047ap-8 12 30 64 114752 2451");
+    ("sp", "recdouble 2x2", "ideal", "0x1.398cb043c6c65p-8 10 32 128 114816 3204");
+    ("sp", "recdouble 2x2", "mesh", "0x1.398cb043c6c64p-8 10 32 128 114816 3204");
+    ("sp", "recdouble 3x1", "ideal", "0x1.6e2851adc7a1fp-8 11 30 64 114752 2427");
+    ("sp", "recdouble 3x1", "mesh", "0x1.b6747f113b756p-8 11 30 64 114752 2427");
+    ("sp", "dissem 2x2", "ideal", "0x1.3990448641ce7p-8 10 32 128 114880 3204");
+    ("sp", "dissem 2x2", "mesh", "0x1.3990448641ce5p-8 10 32 128 114880 3204");
+    ("sp", "dissem 3x1", "ideal", "0x1.6d89f130037bfp-8 10 32 68 114784 2403");
+    ("sp", "dissem 3x1", "mesh", "0x1.b5913893b6f3ap-8 10 32 68 114784 2403") ]
+
+let test_coll_golden_table () =
+  let got =
+    List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun alg ->
+            List.concat_map
+              (fun (pr, pc) ->
+                let row =
+                  ( Printf.sprintf "%s %dx%d" (Ir.Coll.alg_name alg) pr pc,
+                    { Opt.Config.pl_cum with
+                      Opt.Config.collective = Opt.Config.Forced alg },
+                    Machine.T3d.pvm )
+                in
+                List.map (golden_line ~mesh:(pr, pc) b row) topos)
+              [ (2, 2); (3, 1) ])
+          Ir.Coll.all_algs)
+      Programs.Suite.paper_benchmarks
+  in
+  Alcotest.(check (list string)) "collective golden table" (show coll_golden)
+    (show got)
 
 let () =
   Alcotest.run "report"
@@ -239,4 +337,6 @@ let () =
           Alcotest.test_case "appendix table" `Slow
             test_appendix_table_includes_paper;
           Alcotest.test_case "golden simulated results" `Quick
-            test_golden_table ] ) ]
+            test_golden_table;
+          Alcotest.test_case "golden synthesized collectives" `Quick
+            test_coll_golden_table ] ) ]
